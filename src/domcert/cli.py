@@ -15,7 +15,6 @@ from pathlib import Path
 from . import acceptance as acc
 from .domination import (
     Certificate,
-    DominationError,
     VectorSequence,
     basis_sequence,
     domination_constant_exact,
@@ -23,11 +22,9 @@ from .domination import (
     gamma_bracket,
     search_certificate,
     verify_certificate,
-    _Infinity,
 )
 from .families import (
     BudgetError,
-    FamilyError,
     QSchedule,
     almost_monotone_witness,
     as_finset,
@@ -37,11 +34,10 @@ from .families import (
     parse_family,
     rank_restricted,
 )
-from .norms import SpaceError, norm, parse_space
-from .ordinals import OrdinalError, compare, fundamental_sequence, parse_ordinal
+from .norms import norm, parse_space
+from .ordinals import compare, fundamental_sequence, parse_ordinal
 from .rationals import Mag, format_fraction, parse_fraction
 from .spreading import (
-    SpreadingError,
     SubseqSpec,
     check_main2_bridge,
     default_probes,
@@ -52,7 +48,6 @@ from .spreading import (
 )
 from .transfer import (
     ShadowFailure,
-    TransferError,
     block_certificate,
     frak_f_epsilon,
     limit_combine,
@@ -70,6 +65,20 @@ class CliError(Exception):
     def __init__(self, message: str, code: int = USAGE):
         super().__init__(message)
         self.code = code
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as CliError (exit 1) instead of exiting with 2."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise CliError(message)
+
+
+def _require(value, what: str):
+    if value is None:
+        raise CliError(f"missing {what}")
+    return value
 
 
 def _parse_q(text: str | None) -> QSchedule:
@@ -121,9 +130,9 @@ def _emit(payload, args) -> None:
 
 
 def _mag_json(value) -> dict:
-    if isinstance(value, _Infinity):
-        return {"kind": "infinite"}
     value = Mag.of(value)
+    if not value.is_finite:
+        return {"kind": "infinite"}
     if value.is_rational:
         return {"kind": "rational", "value": format_fraction(value.as_fraction())}
     return {
@@ -135,6 +144,8 @@ def _mag_json(value) -> dict:
 
 
 def cmd_ord(args) -> int:
+    if args.action in ("add", "cmp", "fs"):
+        _require(args.b, f"second argument of ord {args.action}")
     if args.action == "parse":
         _emit(str(parse_ordinal(args.a)), args)
     elif args.action == "add":
@@ -159,7 +170,7 @@ def cmd_fam(args) -> int:
         raise CliError("missing universe bound N")
     if args.action == "member":
         fam = parse_family(args.family, q)
-        _emit("true" if fam.member(_finset(args.set)) else "false", args)
+        _emit("true" if fam.member(_finset(_require(args.set, "set"))) else "false", args)
         return OK
     if args.action == "enum":
         fam = parse_family(args.family, q)
@@ -247,6 +258,7 @@ def cmd_certify(args) -> int:
     if args.action != "verify":
         if args.rho is None:
             args.rho = args.cert
+    _require(args.rho, "rho sequence")
     if args.action == "verify":
         cert = Certificate.loads(Path(args.cert).read_text(), q)
         rho = _load_sequence(args.rho, q)
@@ -301,9 +313,7 @@ def cmd_certify(args) -> int:
             "xi": args.xi,
             "depth": bracket.depth,
             "lower": format_fraction(bracket.lower),
-            "upper": "inf"
-            if isinstance(bracket.upper, _Infinity)
-            else format_fraction(bracket.upper),
+            "upper": str(bracket.upper),
             "budget": {k: v for k, v in bracket.budget_report.items()},
         }
         if bracket.certificate is not None:
@@ -315,6 +325,13 @@ def cmd_certify(args) -> int:
 
 def cmd_transfer(args) -> int:
     q = _parse_q(args.q)
+    needed = 2 if args.action == "sum" else 1
+    if len(args.inputs) < needed:
+        raise CliError(f"transfer {args.action} needs {needed} input file(s)")
+    if args.action in ("shift", "sum", "limit", "merge"):
+        _require(args.rho, "--rho")
+    if args.action in ("shift", "block"):
+        _require(args.target, "--target")
     rho = _load_sequence(args.rho, q) if args.rho else None
     try:
         if args.action == "shift":
@@ -435,7 +452,7 @@ def cmd_spread(args) -> int:
         _emit(
             {
                 "lower": _mag_json(eq.lower),
-                "upper": _mag_json(eq.upper) if not isinstance(eq.upper, _Infinity) else {"kind": "infinite"},
+                "upper": _mag_json(eq.upper),
                 "exact": eq.exact,
             },
             args,
@@ -476,19 +493,22 @@ def cmd_acceptance(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="domcert",
         description="Schreier-type families, combinatorial norms, and "
         "domination certificates with exact arithmetic",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--q", default="n", help="omega-level schedule, e.g. 'n' or '2n+1'")
-        p.add_argument("--seed", default="0")
+    def common(p, q=False, seed=False, budgets=False):
         p.add_argument("--out", help="also write the output to this file")
-        p.add_argument("--node-budget", default="1000000")
-        p.add_argument("--time-budget", default="60")
+        if q:
+            p.add_argument("--q", default="n", help="omega-level schedule, e.g. 'n' or '2n+1'")
+        if seed:
+            p.add_argument("--seed", default="0")
+        if budgets:
+            p.add_argument("--node-budget", default="1000000")
+            p.add_argument("--time-budget", default="60")
 
     p = sub.add_parser("ord", help="ordinal arithmetic")
     p.add_argument("action", choices=["parse", "add", "cmp", "classify", "fs"])
@@ -504,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("family", help="family grammar, or zeta for am-witness")
     p.add_argument("set", nargs="?", help="finite set, xi, or target family")
     p.add_argument("n", nargs="?", help="universe bound")
-    common(p)
+    common(p, q=True)
     p.set_defaults(func=cmd_fam)
 
     p = sub.add_parser("norm", help="norm evaluation")
@@ -512,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("space")
     p.add_argument("vector", help="vector JSON file")
     p.add_argument("--precision", default="12")
-    common(p)
+    common(p, q=True)
     p.set_defaults(func=cmd_norm)
 
     p = sub.add_parser("dominate", help="domination constants")
@@ -520,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("xs", help="sequence file or basis:<space>:<len>")
     p.add_argument("ys")
     p.add_argument("--trials", default="100")
-    common(p)
+    common(p, q=True, seed=True)
     p.set_defaults(func=cmd_dominate)
 
     p = sub.add_parser("certify", help="certificate search, verify, brackets")
@@ -534,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l-max", dest="l_max")
     p.add_argument("--constraint")
     p.add_argument("--g-space", dest="g_space")
-    common(p)
+    common(p, q=True, budgets=True)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("transfer", help="certificate transformers")
@@ -550,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", default="1/2")
     p.add_argument("--phi", default="1/8")
     p.add_argument("--depth", default="4")
-    common(p)
+    common(p, q=True)
     p.set_defaults(func=cmd_transfer)
 
     p = sub.add_parser("spread", help="spreading model estimation")
@@ -564,36 +584,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g-xi", dest="g_xi", default="1")
     p.add_argument("--C", default="1")
     p.add_argument("--depth", default="6")
-    common(p)
+    common(p, q=True, seed=True)
     p.set_defaults(func=cmd_spread)
 
     p = sub.add_parser("acceptance", help="run acceptance suites")
-    p.add_argument("suite", nargs="?", default="all")
+    p.add_argument("suite", nargs="?", default="all", choices=sorted(acc.SUITES))
     p.add_argument("--list", action="store_true")
-    common(p)
+    common(p, seed=True)
     p.set_defaults(func=cmd_acceptance)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (
-        CliError,
-        OrdinalError,
-        FamilyError,
-        SpaceError,
-        SpreadingError,
-        DominationError,
-        TransferError,
-        OrdinalError,
-        ValueError,
-        OSError,
-        json.JSONDecodeError,
-    ) as exc:
+    except (CliError, ValueError, OSError) as exc:
         code = getattr(exc, "code", USAGE)
         print(f"error: {exc}", file=sys.stderr)
         return code

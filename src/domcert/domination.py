@@ -35,7 +35,7 @@ from .families import (
 from .linprog import nullspace, solve_square, support_function
 from .norms import SpaceSpec, format_space, is_polyhedral, norm, norming_functionals, Lp, parse_space
 from .ordinals import Ordinal, format_ordinal, parse_ordinal
-from .rationals import Mag, MAG_ZERO, format_fraction, parse_fraction
+from .rationals import Mag, MAG_INF, MAG_ZERO, format_fraction, parse_fraction
 from .vectors import Vector, combine
 
 
@@ -46,30 +46,6 @@ class DominationError(ValueError):
 class SearchBudgetError(RuntimeError):
     pass
 
-
-class _Infinity:
-    """Sentinel for 'no finite constant exists'; larger than every Mag."""
-
-    def __repr__(self) -> str:
-        return "INF"
-
-    def __str__(self) -> str:
-        return "inf"
-
-    def __lt__(self, other) -> bool:
-        return False
-
-    def __le__(self, other) -> bool:
-        return isinstance(other, _Infinity)
-
-    def __gt__(self, other) -> bool:
-        return not isinstance(other, _Infinity)
-
-    def __ge__(self, other) -> bool:
-        return True
-
-
-INF = _Infinity()
 
 EXACT_DIM_BOUND = 6
 
@@ -122,12 +98,12 @@ def basis_sequence(space: SpaceSpec, length: int, name: str = "") -> VectorSeque
 
 @dataclass
 class DominationValue:
-    value: "Mag | _Infinity"
+    value: Mag
     witness: Optional[tuple[Fraction, ...]] = None
 
     @property
     def finite(self) -> bool:
-        return not isinstance(self.value, _Infinity)
+        return self.value.is_finite
 
 
 def _functional_rows(space: SpaceSpec, vectors: tuple[Vector, ...]) -> list[tuple[Fraction, ...]]:
@@ -176,15 +152,14 @@ def _unsigned_rows(space: SpaceSpec, vectors: tuple[Vector, ...]) -> list[tuple[
 def domination_constant_exact(
     xs: VectorSequence,
     ys: VectorSequence,
-    dim_bound: int = EXACT_DIM_BOUND,
 ) -> DominationValue:
-    """Least C with (x_n) <=_C (y_n), or INF when the y-side seminorm kills a
+    """Least C with (x_n) <=_C (y_n), or MAG_INF when the y-side seminorm kills a
     combination the x-side does not."""
     if len(xs) != len(ys):
         raise DominationError("sequences must have equal length")
     t = len(xs)
-    if t > dim_bound:
-        raise DominationError(f"exact mode limited to {dim_bound} vectors")
+    if t > EXACT_DIM_BOUND:
+        raise DominationError(f"exact mode limited to {EXACT_DIM_BOUND} vectors")
 
     if (
         is_polyhedral(xs.space)
@@ -213,7 +188,7 @@ def domination_constant_exact(
     for v in kernel:
         z = combine(xs.items, v)
         if norm(xs.space, z) > 0:
-            return DominationValue(INF, tuple(v))
+            return DominationValue(MAG_INF, tuple(v))
 
     if not rows:
         return DominationValue(MAG_ZERO, None)
@@ -314,7 +289,7 @@ def _dominated_row(row: tuple[Fraction, ...], pool) -> bool:
 
 @dataclass
 class LowerBoundResult:
-    value: "Mag | _Infinity"
+    value: Mag
     witness: Optional[tuple[Fraction, ...]]
     status: str  # 'ok' | 'indeterminate'
 
@@ -354,7 +329,7 @@ def domination_lower_bound(
         num = norm(xs.space, combine(xs.items, a))
         den = norm(ys.space, combine(ys.items, a))
         if den == MAG_ZERO:
-            return INF if num > MAG_ZERO else None
+            return MAG_INF if num > MAG_ZERO else None
         return num / den
 
     for a in candidates:
@@ -362,8 +337,8 @@ def domination_lower_bound(
         if r is None:
             continue
         saw_value = True
-        if isinstance(r, _Infinity):
-            return LowerBoundResult(INF, a, "ok")
+        if r == MAG_INF:
+            return LowerBoundResult(MAG_INF, a, "ok")
         if best is None or r > best:
             best, best_wit = r, a
 
@@ -384,10 +359,10 @@ def domination_lower_bound(
                 cand[i] = cand[i] * mult if cand[i] != 0 else mult - 1
                 cand_t = tuple(cand)
                 r = ratio(cand_t)
-                if r is None or isinstance(r, _Infinity):
-                    if isinstance(r, _Infinity):
-                        return LowerBoundResult(INF, cand_t, "ok")
+                if r is None:
                     continue
+                if r == MAG_INF:
+                    return LowerBoundResult(MAG_INF, cand_t, "ok")
                 if r > best:
                     best, best_wit = r, cand_t
                     improved = True
@@ -397,7 +372,7 @@ def domination_lower_bound(
 @dataclass
 class RightDominanceReport:
     ok: bool
-    constant: "Mag | _Infinity"
+    constant: Mag
     witness: Optional[tuple[Fraction, ...]]
 
 
@@ -441,8 +416,6 @@ def right_dominance_defect(
     xs = VectorSequence(tuple(Vector.basis(i) for i in m), space)
     ys = VectorSequence(tuple(Vector.basis(i) for i in l), space)
     res = domination_constant_exact(xs, ys)
-    if not res.finite:
-        return RightDominanceReport(False, INF, res.witness)
     return RightDominanceReport(res.value <= Mag.of(Fraction(r)), res.value, res.witness)
 
 
@@ -537,13 +510,13 @@ class Certificate:
 class Violation:
     F: FinSet
     scalars: Optional[tuple[Fraction, ...]]
-    ratio: "Mag | _Infinity"
+    ratio: Mag
 
 
 @dataclass
 class VerifyReport:
     ok: bool
-    worst_ratio: "Mag | _Infinity"
+    worst_ratio: Mag
     violation: Optional[Violation] = None
     checked: int = 0
 
@@ -567,7 +540,7 @@ def verify_certificate(
         raise DominationError("certificate M exceeds the rho prefix")
     oracle = oracle or DominationOracle(rho, cert.g_space)
     fam = cert.family(q)
-    worst: "Mag | _Infinity" = MAG_ZERO
+    worst: Mag = MAG_ZERO
     worst_violation: Optional[Violation] = None
     checked = 0
     for f in maximal_members(fam, n):
@@ -577,12 +550,12 @@ def verify_certificate(
         l_f = tuple(cert.L[i - 1] for i in f)
         res = oracle.constant(m_f, l_f)
         checked += 1
-        if not res.finite:
-            return VerifyReport(False, INF, Violation(f, res.witness, INF), checked)
-        if isinstance(worst, _Infinity) or res.value > worst:
+        if res.value > worst:
             worst = res.value
             if res.value > Mag.of(Fraction(cert.C)):
                 worst_violation = Violation(f, res.witness, res.value)
+            if not worst.is_finite:
+                break
     ok = worst_violation is None
     return VerifyReport(ok, worst, worst_violation, checked)
 
@@ -592,7 +565,7 @@ class SearchOutcome:
     status: str  # 'found' | 'exhausted' | 'budget'
     certificate: Optional[Certificate] = None
     nodes: int = 0
-    kill_bound: "Mag | _Infinity | None" = None
+    kill_bound: Optional[Mag] = None
     kill_witness: Optional[Violation] = None
 
 
@@ -637,17 +610,14 @@ def search_certificate(
 
     nodes = 0
     deadline = time.monotonic() + time_budget
-    kill_bound: "Mag | _Infinity | None" = None
+    kill_bound: Optional[Mag] = None
     kill_witness: Optional[Violation] = None
     m_sel: list[int] = []
     l_sel: list[int] = []
 
-    def note_kill(value: "Mag | _Infinity", viol: Violation) -> None:
+    def note_kill(value: Mag, viol: Violation) -> None:
         nonlocal kill_bound, kill_witness
-        if kill_bound is None or (
-            not isinstance(value, _Infinity)
-            and (isinstance(kill_bound, _Infinity) or value < kill_bound)
-        ):
+        if kill_bound is None or value < kill_bound:
             kill_bound = value
             kill_witness = viol
 
@@ -656,8 +626,6 @@ def search_certificate(
             m_f = tuple(m_sel[i - 1] for i in f)
             l_f = tuple(l_sel[i - 1] for i in f)
             res = oracle.constant(m_f, l_f)
-            if not res.finite:
-                return Violation(f, res.witness, INF)
             if res.value > c_mag:
                 return Violation(f, res.witness, res.value)
         return None
@@ -739,7 +707,7 @@ def build_t_tree(
                     ms = tuple(p[0] for p in cand)
                     ls = tuple(p[1] for p in cand)
                     res = oracle.constant(ms, ls)
-                    if res.finite and res.value <= c_mag:
+                    if res.value <= c_mag:
                         nodes.add(cand)
                         nxt.append(cand)
         frontier = nxt
@@ -750,7 +718,7 @@ def build_t_tree(
 class GammaBracket:
     xi: Optional[Ordinal]
     lower: Fraction
-    upper: "Fraction | _Infinity"
+    upper: Mag
     depth: int
     certificate: Optional[Certificate] = None
     lower_witness: Optional[Violation] = None
@@ -782,7 +750,7 @@ def gamma_bracket(
 
     lower = Fraction(0)
     lower_witness: Optional[Violation] = None
-    upper: "Fraction | _Infinity" = INF
+    upper: Mag = MAG_INF
     cert: Optional[Certificate] = None
 
     def attempt(c_val: Fraction) -> SearchOutcome:
@@ -802,17 +770,17 @@ def gamma_bracket(
         if out.status == "found":
             report = verify_certificate(out.certificate, rho, q, oracle)
             worst = report.worst_ratio
-            new_upper = c_val
-            if not isinstance(worst, _Infinity) and worst.is_rational:
-                new_upper = min(new_upper, worst.as_fraction())
-            if isinstance(upper, _Infinity) or new_upper < upper:
+            new_upper = Mag.of(c_val)
+            if worst.is_rational:
+                new_upper = min(new_upper, worst)
+            if new_upper < upper:
                 upper = new_upper
                 cert = out.certificate
             return True
         if out.status == "exhausted":
             new_lower = c_val
             kb = out.kill_bound
-            if kb is not None and not isinstance(kb, _Infinity) and kb.is_rational:
+            if kb is not None and kb.is_rational:
                 new_lower = max(new_lower, kb.as_fraction())
             if new_lower > lower:
                 lower = new_lower
@@ -823,18 +791,18 @@ def gamma_bracket(
 
     probe = Fraction(1)
     cap = Fraction(2**16)
-    while isinstance(upper, _Infinity) and probe <= cap:
+    while upper == MAG_INF and probe <= cap:
         out = attempt(probe)
         if not absorb(out, probe):
             break
         probe *= 2
 
     while (
-        not isinstance(upper, _Infinity)
-        and upper - lower > resolution
+        upper.is_finite
+        and upper > lower + resolution
         and "exhausted" not in budget
     ):
-        mid = (lower + upper) / 2
+        mid = (lower + upper.as_fraction()) / 2
         out = attempt(mid)
         if not absorb(out, mid):
             break

@@ -23,10 +23,9 @@ where the integer schedule q_n is configurable (default q_n = n).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Iterable, Optional
+from functools import lru_cache, partial
+from typing import Callable, Iterable, Optional
 
 from .ordinals import (
     OMEGA,
@@ -60,11 +59,6 @@ def as_finset(elements: Iterable[int]) -> FinSet:
 def is_spread_of(l: FinSet, f: FinSet) -> bool:
     """True iff |l| = |f| and f(n) <= l(n) pointwise."""
     return len(l) == len(f) and all(a <= b for a, b in zip(f, l))
-
-
-def subsets_of(f: FinSet):
-    for k in range(len(f) + 1):
-        yield from itertools.combinations(f, k)
 
 
 @dataclass(frozen=True)
@@ -164,7 +158,7 @@ class NFold(Family):
             raise FamilyError("NFold needs n >= 1")
 
     def _member(self, f: FinSet) -> bool:
-        return _blocks_cover(self.base, f, self.n)
+        return _blocks_cover(self.base.member, f, self.n)
 
 
 @dataclass(frozen=True)
@@ -220,9 +214,7 @@ def _schreier_member(xi: Ordinal, q: QSchedule, f: FinSet) -> bool:
     if kind == "zero":
         return len(f) <= 1
     if kind == "successor":
-        pred = xi.pred()
-        probe = _SchreierLevel(pred, q)
-        return _blocks_cover(probe, f, f[0])
+        return _blocks_cover(partial(_schreier_member, xi.pred(), q), f, f[0])
     for n in range(1, f[0] + 1):
         approx = from_int(q(n)) if xi == OMEGA else fundamental_sequence(xi, n)
         if _schreier_member(approx, q, f):
@@ -230,17 +222,8 @@ def _schreier_member(xi: Ordinal, q: QSchedule, f: FinSet) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class _SchreierLevel(Family):
-    xi: Ordinal
-    q: QSchedule
-
-    def _member(self, f: FinSet) -> bool:
-        return _schreier_member(self.xi, self.q, f)
-
-
-def _blocks_cover(base: Family, f: FinSet, max_blocks: int) -> bool:
-    """Can f be split into at most max_blocks consecutive nonempty base members?"""
+def _blocks_cover(member: Callable[[FinSet], bool], f: FinSet, max_blocks: int) -> bool:
+    """Can f be split into at most max_blocks consecutive nonempty members?"""
 
     @lru_cache(maxsize=None)
     def reachable(i: int, used: int) -> bool:
@@ -249,7 +232,7 @@ def _blocks_cover(base: Family, f: FinSet, max_blocks: int) -> bool:
         if used == max_blocks:
             return False
         for j in range(i + 1, len(f) + 1):
-            if base.member(f[i:j]) and reachable(j, used + 1):
+            if member(f[i:j]) and reachable(j, used + 1):
                 return True
         return False
 
@@ -297,9 +280,9 @@ def enumerate_family(
     return sorted(out, key=lambda t: (len(t), t))
 
 
-def maximal_members(fam: Family, n: int, **kw) -> list[FinSet]:
+def maximal_members(fam: Family, n: int) -> list[FinSet]:
     """Members within {1..n} that are not proper subsets of another member."""
-    members = set(enumerate_family(fam, n, **kw))
+    members = set(enumerate_family(fam, n))
     out = [f for f in members if not any(set(f) < set(g) for g in members)]
     return sorted(out, key=lambda t: (len(t), t))
 
@@ -315,13 +298,13 @@ class RegularityReport:
         return self.spreading_ok and self.hereditary_ok
 
 
-def check_regular(fam: Family, n: int, **kw) -> RegularityReport:
+def check_regular(fam: Family, n: int) -> RegularityReport:
     """Verify closure under subsets and under spreads inside {1..n}.
 
     Single-element deletions generate all subsets and single upward bumps
     generate all spreads within the universe, so checking those suffices.
     """
-    members = set(enumerate_family(fam, n, **kw))
+    members = set(enumerate_family(fam, n))
     for f in members:
         for i in range(len(f)):
             g = f[:i] + f[i + 1 :]
@@ -340,13 +323,13 @@ def check_regular(fam: Family, n: int, **kw) -> RegularityReport:
     return RegularityReport(True, True, None)
 
 
-def rank_restricted(fam: Family, n: int, **kw) -> int:
+def rank_restricted(fam: Family, n: int) -> int:
     """Rank of the tree fam | {1..n}: iterate T' = T minus its maximal nodes.
 
     Non-hereditary literals are completed to their prefix closure first so
     that the sequence identification applies.
     """
-    tree = set(enumerate_family(fam, n, **kw))
+    tree = set(enumerate_family(fam, n))
     for f in list(tree):
         for i in range(len(f)):
             tree.add(f[:i])
@@ -367,7 +350,6 @@ def almost_monotone_witness(
     xi: Ordinal | None,
     n: int,
     q: QSchedule = Q_DEFAULT,
-    **kw,
 ) -> Optional[int]:
     """Least l <= n with: l < F in FineSchreier(zeta), F within {1..n}, implies
     F in FineSchreier(xi).  xi=None means the all-finite sentinel.  Returns
@@ -377,7 +359,7 @@ def almost_monotone_witness(
         raise FamilyError("need zeta < xi")
     small = FineSchreier(zeta, q)
     big: Family = AllFinite() if xi is None else FineSchreier(xi, q)
-    members = enumerate_family(small, n, **kw)
+    members = enumerate_family(small, n)
     bad_mins = [f[0] for f in members if f and not big.member(f)]
     l = max(bad_mins) if bad_mins else 0
     return l if l <= n else None
@@ -400,14 +382,13 @@ def find_order_embedding(
     n: int,
     cap: Optional[int] = None,
     node_budget: int = 200_000,
-    **kw,
 ) -> EmbeddingResult:
     """Search a strictly increasing P on {1..n} with P(F) in dst for every
     F in src within {1..n}.  Smallest-image-first, so the result is
     deterministic.  Failure reports a spent budget, not nonexistence.
     """
     cap = cap if cap is not None else 3 * n
-    members = enumerate_family(src, n, **kw)
+    members = enumerate_family(src, n)
     by_max: dict[int, list[FinSet]] = {k: [] for k in range(1, n + 1)}
     for f in members:
         if f:

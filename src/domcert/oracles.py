@@ -56,7 +56,3 @@ def oracle_schreier_member(xi: Ordinal, f: FinSet, q: QSchedule = Q_DEFAULT) -> 
         if oracle_schreier_member(level, f, q):
             return True
     return False
-
-
-def oracle_longest_member(members: set[FinSet]) -> int:
-    return max((len(f) for f in members), default=0)

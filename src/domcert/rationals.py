@@ -4,11 +4,14 @@ Norms in this package are either rational-valued or of the form q**(1/p) for a
 rational q >= 0 and an integer p >= 1 (p-convexifications, Baernstein norms,
 l_p norms).  `Mag` stores the pair (q, p) and supports exact comparison,
 multiplication and division, so optimization and acceptance checks never touch
-floating point.
+floating point.  `MAG_INF` is the one infinite magnitude: the value of a least
+constant that does not exist.  It compares above every finite value, and
+products, quotients and powers involving it raise.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -59,7 +62,8 @@ MagLike = Union["Mag", Fraction, int]
 
 @dataclass(frozen=True)
 class Mag:
-    """A nonnegative real number power**(1/root) with rational power."""
+    """A nonnegative real number power**(1/root) with rational power, or
+    +infinity, stored as power 1 and root 0 (`MAG_INF`)."""
 
     power: Fraction
     root: int = 1
@@ -68,7 +72,9 @@ class Mag:
         if self.power < 0:
             raise ValueError("Mag is a magnitude; power must be >= 0")
         if self.root < 1:
-            raise ValueError("root must be >= 1")
+            if self.root < 0 or self.power != 1:
+                raise ValueError("root must be >= 1, or 0 with power 1 for infinity")
+            return
         power, root = self.power, self.root
         # reduce: pull out perfect d-th powers for divisors d of root
         d = 2
@@ -94,17 +100,28 @@ class Mag:
         return Mag(value, 1)
 
     @property
+    def is_finite(self) -> bool:
+        return self.root != 0
+
+    @property
     def is_rational(self) -> bool:
         return self.root == 1
 
     def as_fraction(self) -> Fraction:
         if self.root != 1:
-            raise ValueError(f"{self} is irrational")
+            raise ValueError(f"{self} is {'irrational' if self.root else 'infinite'}")
         return self.power
 
     def _cmp_key(self, other: "Mag") -> tuple[Fraction, Fraction]:
-        r = self.root * other.root // _gcd(self.root, other.root)
+        if not (self.root and other.root):
+            return Fraction(not self.root), Fraction(not other.root)
+        r = math.lcm(self.root, other.root)
         return self.power ** (r // self.root), other.power ** (r // other.root)
+
+    def _common_root(self, other: "Mag") -> int:
+        if not (self.root and other.root):
+            raise ValueError("no products or quotients with an infinite magnitude")
+        return math.lcm(self.root, other.root)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -138,7 +155,7 @@ class Mag:
 
     def __mul__(self, other: MagLike) -> "Mag":
         other = Mag.of(other)
-        r = self.root * other.root // _gcd(self.root, other.root)
+        r = self._common_root(other)
         return Mag(self.power ** (r // self.root) * other.power ** (r // other.root), r)
 
     __rmul__ = __mul__
@@ -147,17 +164,21 @@ class Mag:
         other = Mag.of(other)
         if other.power == 0:
             raise ZeroDivisionError("division by zero magnitude")
-        r = self.root * other.root // _gcd(self.root, other.root)
+        r = self._common_root(other)
         return Mag(self.power ** (r // self.root) / other.power ** (r // other.root), r)
 
     def __pow__(self, k: int) -> "Mag":
         if k < 0:
             raise ValueError("negative powers unsupported")
+        if not self.root:
+            raise ValueError("no powers of an infinite magnitude")
         if k == 0:
             return Mag(Fraction(1))
         return Mag(self.power**k, self.root)
 
     def __float__(self) -> float:
+        if not self.root:
+            return math.inf
         return float(self.power) ** (1.0 / self.root)
 
     def approx(self, digits: int = 12) -> str:
@@ -174,19 +195,16 @@ class Mag:
         return f"{whole}.{frac:0{digits}d}"
 
     def __str__(self) -> str:
+        if not self.root:
+            return "inf"
         if self.root == 1:
             return format_fraction(self.power)
         return f"{format_fraction(self.power)}^(1/{self.root})"
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 MAG_ZERO = Mag(Fraction(0))
 MAG_ONE = Mag(Fraction(1))
+MAG_INF = Mag(Fraction(1), 0)
 
 
 def mag_max(values) -> Mag:

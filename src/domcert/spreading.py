@@ -2,7 +2,7 @@
 
 The iterated limit lim_{l_1} ... lim_{l_m} |sum a_n x_{l_n}| is replaced by a
 geometric index schedule with stability detection: stage s evaluates indices
-L(s*B^n).  For combinatorial spaces the admissible subsets of {1..m} are
+L(s*2^n).  For combinatorial spaces the admissible subsets of {1..m} are
 monotone along spreads, so exact tail values are available: a subset
 eventually contributes exactly when the family contains some set of its
 cardinality.
@@ -18,21 +18,23 @@ from typing import Callable, Optional, Sequence
 
 from .domination import (
     Certificate,
-    INF,
     VectorSequence,
-    _Infinity,
     search_certificate,
     verify_certificate,
 )
 from .families import QSchedule, Q_DEFAULT, Schreier, family_cardinality_bound
 from .norms import Combinatorial, SpaceSpec, norm
 from .ordinals import Ordinal
-from .rationals import Mag, MAG_ZERO, mag_max
+from .rationals import Mag, MAG_INF, MAG_ZERO, mag_max
 from .vectors import Vector, combine
 
 
 class SpreadingError(ValueError):
     pass
+
+
+# largest universe scanned for a witness set, and largest stage offset tried
+SCAN_BOUND = 64
 
 
 @dataclass(frozen=True)
@@ -83,10 +85,6 @@ class SubseqSpec:
 Generator = Callable[[int], Vector]
 
 
-def basis_generator(space: SpaceSpec) -> Generator:
-    return lambda n: Vector.basis(n)
-
-
 def default_probes(m: int, seed: int = 0, extra: int = 64) -> list[tuple[Fraction, ...]]:
     """{0,1,-1}-vectors (simplex corners included), plus seeded rationals."""
     probes: list[tuple[Fraction, ...]] = []
@@ -107,9 +105,7 @@ class SpreadingTable:
     stage: int
     probes: tuple[tuple[Fraction, ...], ...]
     values: dict[tuple[Fraction, ...], Mag]
-    probe_description: str = ""
     exact: bool = False
-    spread_invariant_checked: bool = False
 
     def value(self, probe) -> Mag:
         return self.values[tuple(Fraction(v) for v in probe)]
@@ -131,7 +127,6 @@ class EstimateReport:
     tables: list[SpreadingTable]
     stable: bool
     max_discrepancy_desc: str
-    schedule_base: int
 
 
 def estimate_spreading(
@@ -141,10 +136,9 @@ def estimate_spreading(
     m: int,
     stages: Sequence[int],
     probes: Optional[Sequence[Sequence[Fraction]]] = None,
-    schedule_base: int = 2,
     seed: int = 0,
 ) -> EstimateReport:
-    """Evaluate |sum a_n x_{L(s*B^n)}| per probe at each stage offset s."""
+    """Evaluate |sum a_n x_{L(s*2^n)}| per probe at each stage offset s."""
     if m < 1:
         raise SpreadingError("m must be >= 1")
     probes = (
@@ -157,7 +151,7 @@ def estimate_spreading(
             raise SpreadingError("probe length must equal m")
     tables = []
     for s in stages:
-        indices = [subseq(s * schedule_base**n) for n in range(1, m + 1)]
+        indices = [subseq(s * 2**n) for n in range(1, m + 1)]
         if any(a >= b for a, b in zip(indices, indices[1:])):
             raise SpreadingError("index schedule must be strictly increasing")
         vectors = [gen(i) for i in indices]
@@ -165,7 +159,7 @@ def estimate_spreading(
             p: norm(space, combine(vectors, p)) for p in map(tuple, probes)
         }
         tables.append(
-            SpreadingTable(m, s, tuple(map(tuple, probes)), values, "default", False)
+            SpreadingTable(m, s, tuple(map(tuple, probes)), values, False)
         )
     stable = len(tables) >= 2 and all(
         tables[-1].values[p] == tables[-2].values[p] for p in tables[-1].probes
@@ -180,13 +174,12 @@ def estimate_spreading(
         desc = f"~{max(diffs):.3g} (approximate; values not all equal)"
     else:
         desc = "n/a (single stage)"
-    return EstimateReport(tables, stable, desc, schedule_base)
+    return EstimateReport(tables, stable, desc)
 
 
 @dataclass
 class ExactSpreadingResult:
     value: Mag
-    admissible_sizes: int | None
     stability_threshold: Optional[int]
     stable: bool
 
@@ -197,7 +190,6 @@ def exact_spreading_combinatorial(
     m: int,
     a: Sequence[Fraction],
     q: QSchedule = Q_DEFAULT,
-    scan_bound: int = 64,
 ) -> ExactSpreadingResult:
     """Exact iterated-limit value for the Schreier-space basis along a
     subsequence.
@@ -221,25 +213,25 @@ def exact_spreading_combinatorial(
     for size in range(1, cap + 1):
         found = None
         n = max(2 * size, 2)
-        while found is None and n <= scan_bound:
+        while found is None and n <= SCAN_BOUND:
             for f in itertools.combinations(range(1, n + 1), size):
                 if fam.member(f):
                     found = f
                     break
             n *= 2
         if found is None:
-            return ExactSpreadingResult(Mag.of(value), cap, None, False)
+            return ExactSpreadingResult(Mag.of(value), None, False)
         witness_max = max(witness_max, found[-1])
     stage = 1
-    while subseq(2 * stage) <= witness_max and stage <= scan_bound:
+    while subseq(2 * stage) <= witness_max and stage <= SCAN_BOUND:
         stage += 1
-    return ExactSpreadingResult(Mag.of(value), cap, stage, True)
+    return ExactSpreadingResult(Mag.of(value), stage, True)
 
 
 @dataclass
 class EquivalenceResult:
     lower: Mag
-    upper: "Mag | _Infinity"
+    upper: Mag
     exact: bool
 
 
@@ -254,7 +246,7 @@ def equivalence_constant(t1: SpreadingTable, t2: SpreadingTable) -> EquivalenceR
         if v1 == MAG_ZERO and v2 == MAG_ZERO:
             continue
         if v1 == MAG_ZERO or v2 == MAG_ZERO:
-            return EquivalenceResult(MAG_ZERO, INF, t1.exact and t2.exact)
+            return EquivalenceResult(MAG_ZERO, MAG_INF, t1.exact and t2.exact)
         best = mag_max([best, v1 / v2, v2 / v1])
     return EquivalenceResult(best, best, t1.exact and t2.exact)
 
@@ -275,7 +267,7 @@ def exact_table(
         values[p] = res.value
         threshold = max(threshold, res.stability_threshold or 0)
     return SpreadingTable(
-        m, threshold, tuple(map(tuple, probes)), values, "exact", True
+        m, threshold, tuple(map(tuple, probes)), values, True
     )
 
 
@@ -300,22 +292,21 @@ def check_main2_bridge(
     C: Fraction,
     depth: int,
     q: QSchedule = Q_DEFAULT,
-    r: Fraction = Fraction(1),
-    tolerance: Fraction = Fraction(0),
-    m: int = 3,
     seed: int = 0,
-    node_budget: int = 500_000,
 ) -> BridgeReport:
     """Finite shadow of the two checkable directions of the omega-level
     equivalence between certificates and spreading-model domination.
 
     (a) a verified omega-certificate at C forces the estimated spreading
-        table of rho to be (r*C + tolerance)-dominated by the exact table of
-        the g-basis subsequence it uses;
+        table of rho to be C-dominated by the exact table of the g-basis
+        subsequence it uses;
     (b) spreading-table domination at C plus stage stability yields a
-        verified omega-certificate at 1 + 2*C + tolerance.
+        verified omega-certificate at 1 + 2*C.
+
+    The tables have probes of length 3.
     """
     C = Fraction(C)
+    m = 3
     g_space = Combinatorial(Schreier(g_xi, q))
     from .ordinals import OMEGA
 
@@ -330,7 +321,7 @@ def check_main2_bridge(
 
     # direction (a): certificate implies table domination
     out = search_certificate(
-        rho, OMEGA, C, depth, g_space, q, node_budget=node_budget
+        rho, OMEGA, C, depth, g_space, q, node_budget=500_000
     )
     if out.status != "found":
         report_a = {"pass": False, "reason": f"no certificate at C={C} ({out.status})"}
@@ -353,7 +344,7 @@ def check_main2_bridge(
             )
             g_sub = SubseqSpec("explicit", prefix=cert.L)
             gtab = exact_table(g_xi, g_sub, m, probes, q)
-            bound = Mag.of(Fraction(r) * C + tolerance)
+            bound = Mag.of(C)
             bad = [
                 p
                 for p in gtab.probes
@@ -397,7 +388,7 @@ def check_main2_bridge(
                     report_b = {"pass": False, "reason": "irrational table ratio"}
                     inconclusive = True
                 else:
-                    c_target = 1 + 2 * c_dom.as_fraction() + tolerance
+                    c_target = 1 + 2 * c_dom.as_fraction()
                     offset = max(gtab.stage, 1)
                     max_m = offset + depth
                     if max_m > len(rho):

@@ -197,7 +197,6 @@ def sum_combine(
     rho: VectorSequence,
     r: Fraction,
     q: QSchedule = Q_DEFAULT,
-    embed_cap: Optional[int] = None,
 ) -> Certificate:
     """Glue a level-zeta and a level-xi certificate (M2 nested in M1) into a
     level-(zeta+xi) certificate with constant r*(C1+C2), routing indices
@@ -218,7 +217,7 @@ def sum_combine(
     depth = cert2.depth
     target_fam = FineSchreier(total, q)
     sum_fam = SumFamily(zeta, xi, q)
-    emb = find_order_embedding(target_fam, sum_fam, depth, cap=embed_cap)
+    emb = find_order_embedding(target_fam, sum_fam, depth)
     if not emb.found:
         raise TransferError("no order embedding into the sum family within budget")
     p = emb.mapping

@@ -144,6 +144,25 @@ class TestCertifyCli:
         data = json.loads(out)
         assert data["lower"] == "3" and data["upper"] == "3"
 
+    def test_bracket_infinite_upper(self, capsys, tmp_path):
+        # no certificate exists below the probe cap 2^16, so upper stays inf
+        rho = {"space": "L1", "vectors": [{"entries": [[1, "1000000"]]}, {"entries": [[2, "1000000"]]}]}
+        rho_path = tmp_path / "big.json"
+        rho_path.write_text(json.dumps(rho))
+        code, out = run(
+            capsys,
+            "certify", "bracket", str(rho_path),
+            "--xi", "ALL", "--depth", "1", "--g-space", "C0",
+        )
+        assert code == 0
+        assert json.loads(out) == {
+            "budget": {"l_max": 2, "nodes": 68},
+            "depth": 1,
+            "lower": "1000000",
+            "upper": "inf",
+            "xi": "ALL",
+        }
+
 
 class TestTransferCli:
     def test_frak(self, capsys, tmp_path):
@@ -232,6 +251,41 @@ class TestTransferChainCli:
         )
         assert code == 0
         assert json.loads(out)["xi"] == "1"
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bogus"],
+            ["ord", "add", "w", "1", "--bogus"],
+            ["ord", "parse", "w", "--seed", "1"],
+            ["fam", "rank", "F[3]", "10", "--node-budget", "5"],
+            ["acceptance", "bogus"],
+            ["ord", "add", "w"],
+            ["ord", "fs", "w"],
+            ["fam", "member", "S[1]"],
+            ["transfer", "shift"],
+            ["transfer", "shift", "{cert}", "--target", "1"],
+            ["transfer", "block", "{blocks}"],
+            ["certify", "verify", "{cert}"],
+            ["certify", "search"],
+        ],
+        ids=[
+            "unknown-command", "unknown-flag", "ignored-seed", "ignored-budget",
+            "unknown-suite", "ord-add-one", "ord-fs-one", "fam-member-no-set",
+            "transfer-no-inputs", "transfer-no-rho", "transfer-no-target",
+            "verify-no-rho", "search-no-rho",
+        ],
+    )
+    def test_exit_one_with_message(self, capsys, tmp_path, argv):
+        cert = {"xi": "2", "M": [1, 2], "L": [1, 2], "C": "1", "g_space": "C0", "rho": ""}
+        (tmp_path / "cert.json").write_text(json.dumps(cert))
+        (tmp_path / "blocks.json").write_text(json.dumps([Vector.of({1: 1}).to_json()]))
+        files = {"{cert}": str(tmp_path / "cert.json"), "{blocks}": str(tmp_path / "blocks.json")}
+        code = main([files.get(a, a) for a in argv])
+        err = capsys.readouterr().err
+        assert code == 1 and err.splitlines()[-1].startswith("error: ")
 
 
 class TestDeterminism:

@@ -7,8 +7,8 @@ import pytest
 from domcert.domination import (
     Certificate,
     DominationError,
+    DominationValue,
     VectorSequence,
-    _Infinity,
     basis_sequence,
     build_t_tree,
     domination_constant_exact,
@@ -23,7 +23,7 @@ from domcert.families import Schreier
 from domcert.linprog import solve_square
 from domcert.norms import C0, Combinatorial, L1, norm
 from domcert.ordinals import from_int
-from domcert.rationals import Mag
+from domcert.rationals import MAG_INF, Mag
 from domcert.vectors import Vector, combine
 
 e = Vector.basis
@@ -172,7 +172,7 @@ class TestLowerBound:
         xs = VectorSequence((e(1),), L1())
         ys = VectorSequence((Vector(),), C0())
         res = domination_lower_bound(xs, ys, trials=10, seed=0)
-        assert isinstance(res.value, _Infinity)
+        assert res.value == MAG_INF
 
 
 class TestRightDominance:
@@ -289,6 +289,26 @@ class TestSearch:
         out = search_certificate(rho, None, Fraction(1), 1, g_space=C0())
         assert out.status == "exhausted"
         assert out.kill_bound == 2
+
+    def test_exhausted_kill_bound_is_smallest_finite(self):
+        # a g-basis oracle never returns an infinite constant, so a stub
+        # supplies one: kills at l = 1..5 have ratios inf, 3, 2, inf, 5/2
+        infinite = domination_constant_exact(
+            VectorSequence((e(1), e(2)), L1()), VectorSequence((e(1), e(1)), C0())
+        )
+        assert not infinite.finite
+        ratios = {1: None, 2: Fraction(3), 3: Fraction(2), 4: None, 5: Fraction(5, 2)}
+
+        class StubOracle:
+            def constant(self, m, l):
+                r = ratios[l[-1]]
+                return infinite if r is None else DominationValue(Mag.of(r), (r,))
+
+        rho = basis_sequence(L1(), 1)
+        out = search_certificate(rho, None, Fraction(1), 1, l_max=5, oracle=StubOracle())
+        assert out.status == "exhausted" and out.nodes == 5
+        assert out.kill_bound == 2
+        assert out.kill_witness.ratio == 2 and out.kill_witness.scalars == (2,)
 
     def test_constraint_respected(self):
         rho = basis_sequence(X1, 6)

@@ -3,10 +3,25 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from domcert.rationals import Mag, integer_nth_root, mag_max, parse_fraction, format_fraction
+from domcert.rationals import (
+    MAG_INF,
+    Mag,
+    format_fraction,
+    integer_nth_root,
+    mag_max,
+    parse_fraction,
+)
 
 fracs = st.fractions(min_value=Fraction(0), max_value=Fraction(40), max_denominator=12)
 roots = st.integers(1, 4)
+nonnegative = st.one_of(
+    st.builds(Mag, fracs, roots), st.just(MAG_INF), st.integers(0, 40), fracs
+)
+magnitudes = st.one_of(
+    nonnegative,
+    st.integers(-40, -1),
+    st.fractions(min_value=Fraction(-40), max_value=Fraction(0), max_denominator=12),
+)
 
 
 class TestIntegerRoot:
@@ -60,6 +75,52 @@ class TestMag:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             Mag(Fraction(-1))
+
+
+class TestInfinity:
+    def test_value(self):
+        assert not MAG_INF.is_finite and not MAG_INF.is_rational
+        assert Mag.of(1).is_finite
+        assert str(MAG_INF) == "inf" and float(MAG_INF) == float("inf")
+        with pytest.raises(ValueError):
+            MAG_INF.as_fraction()
+
+    def test_order(self):
+        assert Mag.of(1) < MAG_INF and MAG_INF > Fraction(10**9) and 7 < MAG_INF
+        assert MAG_INF == MAG_INF and MAG_INF != Mag.of(1) and MAG_INF <= MAG_INF
+        assert max([MAG_INF, Mag.of(1)]) == MAG_INF
+        assert mag_max([Mag(Fraction(2), 2), MAG_INF, 3]) == MAG_INF
+
+    def test_arithmetic_raises(self):
+        for op in (
+            lambda: MAG_INF * Mag.of(2),
+            lambda: Mag.of(0) * MAG_INF,
+            lambda: 2 * MAG_INF,
+            lambda: MAG_INF / Mag.of(2),
+            lambda: Mag.of(2) / MAG_INF,
+            lambda: MAG_INF**0,
+            lambda: MAG_INF**2,
+        ):
+            with pytest.raises(ValueError):
+                op()
+
+    def test_other_roots_zero_rejected(self):
+        with pytest.raises(ValueError):
+            Mag(Fraction(2), 0)
+
+    @given(magnitudes, magnitudes)
+    def test_total_order(self, a, b):
+        assert [a < b, a == b, a > b].count(True) == 1
+        assert (a <= b) == (a < b or a == b) and (a >= b) == (a > b or a == b)
+        assert (a < b) == (b > a) and (a == b) == (b == a)
+
+    @given(st.lists(magnitudes, max_size=8), st.lists(nonnegative, max_size=8))
+    def test_sorted_and_mag_max(self, values, nonneg):
+        ordered = sorted(values + [MAG_INF])
+        assert ordered[-1] == MAG_INF
+        assert all(a <= b for a, b in zip(ordered, ordered[1:]))
+        assert mag_max(nonneg + [MAG_INF]) == MAG_INF
+        assert (mag_max(nonneg) == MAG_INF) == (MAG_INF in nonneg)
 
 
 class TestFractionFormat:

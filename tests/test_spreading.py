@@ -8,6 +8,7 @@ from domcert.norms import C0, Combinatorial, Tsirelson
 from domcert.ordinals import from_int
 from domcert.spreading import (
     SpreadingError,
+    SpreadingTable,
     SubseqSpec,
     check_main2_bridge,
     default_probes,
@@ -16,6 +17,8 @@ from domcert.spreading import (
     exact_spreading_combinatorial,
     exact_table,
 )
+from domcert.cli import _mag_json
+from domcert.rationals import Mag
 from domcert.vectors import Vector
 
 X1 = Combinatorial(Schreier(from_int(1)))
@@ -95,6 +98,16 @@ class TestEquivalence:
         t1 = exact_table(from_int(1), SubseqSpec(), 3, probes)
         t0 = exact_table(from_int(0), SubseqSpec(), 3, probes)
         assert equivalence_constant(t1, t0).lower == 3
+
+    def test_one_sided_zero_probe_is_infinite(self):
+        probes = ((Fraction(1),), (Fraction(2),))
+        one, two = probes
+        t1 = SpreadingTable(m=1, stage=1, probes=probes, values={one: Mag.of(1), two: Mag.of(2)})
+        t2 = SpreadingTable(m=1, stage=1, probes=probes, values={one: Mag.of(3), two: Mag.of(0)})
+        for eq in (equivalence_constant(t1, t2), equivalence_constant(t2, t1)):
+            assert str(eq.upper) == "inf" and not eq.exact
+            assert eq.upper > Mag.of(10**9)
+            assert _mag_json(eq.upper) == {"kind": "infinite"}
 
     def test_probe_mismatch(self):
         t1 = exact_table(from_int(1), SubseqSpec(), 3, [ONES3])
