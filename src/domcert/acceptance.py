@@ -529,7 +529,7 @@ SUITES: dict[str, list[str]] = {
 
 def run_suite(name: str, seed: int = 0) -> list[CriterionResult]:
     if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+        raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     return [CRITERIA[cid](seed) for cid in SUITES[name]]
 
 

@@ -3,9 +3,12 @@
 A sequence (x_n) is C-dominated by (y_n) when every finite combination
 satisfies |sum a_n x_n| <= C |sum a_n y_n|.  The least such C is the maximum
 of the left norm over the polytope {a : |sum a_n y_n| <= 1}, computed exactly:
-for a polyhedral left space by one support-function LP per left norming
-functional, for an l_p left norm over pairwise disjoint vectors by vertex
-enumeration of the positive part of the polytope.
+for a polyhedral left space by one `linprog.support_function` LP per left
+norming functional, for an l_p left norm over pairwise disjoint vectors by
+vertex enumeration of the positive part of the polytope.  The polytope is
+passed in the one LP form `(rows, rhs)`, {a : rows[k].a <= rhs[k]}: each
+right functional row w gives the rows w and -w with right-hand side 1, and
+its positive part is the rows with right-hand side 1 followed by -e_i <= 0.
 
 Certificates assert {(M(F), L(F)) : F in FineSchreier(xi)} is contained in
 the pairing tree T(rho, C) up to a finite depth; verification checks the
@@ -171,21 +174,11 @@ def domination_constant_exact(
         # lives on the positive orthant and unsigned functionals suffice
         y_rows = _unsigned_rows(ys.space, ys.items)
         x_rows = _unsigned_rows(xs.space, xs.items)
-        best: Mag = MAG_ZERO
-        best_wit: Optional[tuple[Fraction, ...]] = None
-        for c in x_rows:
-            val, wit = _support_function_nonneg(y_rows, c)
-            if Mag.of(val) > best:
-                best = Mag.of(val)
-                best_wit = tuple(wit) if wit is not None else None
-        return DominationValue(best, best_wit)
+        return _largest(_support_function_nonneg(y_rows, c) for c in x_rows)
 
     rows = _functional_rows(ys.space, ys.items)
 
-    kernel = nullspace(rows, t) if rows else [
-        [Fraction(i == j) for j in range(t)] for i in range(t)
-    ]
-    for v in kernel:
+    for v in nullspace(rows, t):
         z = combine(xs.items, v)
         if norm(xs.space, z) > 0:
             return DominationValue(MAG_INF, tuple(v))
@@ -194,15 +187,10 @@ def domination_constant_exact(
         return DominationValue(MAG_ZERO, None)
 
     if is_polyhedral(xs.space):
+        # |w.a| <= 1 as the two rows w and -w
+        signed = [s for w in rows for s in (w, tuple(-v for v in w))]
         objectives = _functional_rows(xs.space, xs.items)
-        best = MAG_ZERO
-        best_wit = None
-        for c in objectives:
-            val, wit = support_function(rows, list(c))
-            if Mag.of(val) > best:
-                best = Mag.of(val)
-                best_wit = tuple(wit) if wit is not None else None
-        return DominationValue(best, best_wit)
+        return _largest(support_function(signed, c)[:2] for c in objectives)
 
     if isinstance(xs.space, Lp):
         return _lp_left_constant(xs, rows)
@@ -213,24 +201,31 @@ def domination_constant_exact(
     )
 
 
+def _largest(results) -> DominationValue:
+    """The largest of the (value, maximizer) pairs, the first one on ties."""
+    best: Mag = MAG_ZERO
+    best_wit: Optional[tuple[Fraction, ...]] = None
+    for val, wit in results:
+        if Mag.of(val) > best:
+            best = Mag.of(val)
+            best_wit = tuple(wit) if wit is not None else None
+    return DominationValue(best, best_wit)
+
+
+def _orthant_system(rows: list[tuple[Fraction, ...]], t: int) -> tuple[list, list[Fraction]]:
+    """{a >= 0 : row.a <= 1 for all rows} as (rows, rhs): the given rows with
+    right-hand side 1, then -e_i <= 0 for each of the t coordinates."""
+    negated_basis = [tuple(Fraction(-(i == j)) for j in range(t)) for i in range(t)]
+    return list(rows) + negated_basis, [Fraction(1)] * len(rows) + [Fraction(0)] * t
+
+
 def _support_function_nonneg(
     rows: list[tuple[Fraction, ...]], c: tuple[Fraction, ...]
 ) -> tuple[Fraction, Optional[list[Fraction]]]:
     """max c.a over {a >= 0 : row.a <= 1 for all rows}, rows and c >= 0."""
-    from .linprog import solve_lp
-
-    d = len(c)
-    r = len(rows)
-    # min 1.l  s.t.  U^T l - s = c,  l, s >= 0   (dual of the orthant LP)
-    a_mat = [
-        [rows[j][i] for j in range(r)] + [Fraction(-(k == i)) for k in range(d)]
-        for i in range(d)
-    ]
-    cost = [Fraction(1)] * r + [Fraction(0)] * d
-    res = solve_lp(a_mat, list(c), cost)
-    if res.status != "optimal":
-        raise DominationError(f"unexpected LP status {res.status}")
-    return res.objective, res.duals
+    system, rhs = _orthant_system(rows, len(c))
+    value, maximizer, _ = support_function(system, c, rhs)
+    return value, maximizer
 
 
 def _lp_left_constant(xs: VectorSequence, rows: list[tuple[Fraction, ...]]) -> DominationValue:
@@ -252,10 +247,7 @@ def _lp_left_constant(xs: VectorSequence, rows: list[tuple[Fraction, ...]]) -> D
     ]
     pos = {tuple(abs(c) for c in row) for row in rows}
     pos_rows = [r for r in pos if not _dominated_row(r, pos)]
-    constraints = pos_rows + [
-        tuple(Fraction(-(i == j)) for j in range(t)) for i in range(t)
-    ]
-    rhs = [Fraction(1)] * len(pos_rows) + [Fraction(0)] * t
+    constraints, rhs = _orthant_system(pos_rows, t)
     import math
 
     if math.comb(len(constraints), t) > 200_000:

@@ -3,6 +3,12 @@
 A small two-phase simplex with Bland's rule over `Fraction` entries.  Problem
 sizes here are tiny (at most a few hundred variables, single-digit constraint
 counts), so clarity beats sparsity.
+
+Every optimisation in domcert is posed in one form: a polyhedron given as
+`(rows, rhs)`, meaning {a : rows[k].a <= rhs[k] for every k}, and a linear
+objective maximized over it by `support_function`, the only caller of
+`solve_lp`.  The symmetric domination polytope, its positive orthant part and
+the max-min over a simplex are row lists in this form.
 """
 
 from __future__ import annotations
@@ -190,65 +196,52 @@ def solve_lp(
 
 
 def support_function(
-    rows: Sequence[Sequence[Fraction]], c: Sequence[Fraction]
-) -> tuple[Fraction, Optional[Row]]:
-    """max c.a over the polytope {a : |w.a| <= 1 for w in rows}.
+    rows: Sequence[Sequence[Fraction]],
+    c: Sequence[Fraction],
+    rhs: Optional[Sequence[Fraction]] = None,
+) -> tuple[Fraction, Optional[Row], Row]:
+    """max c.a over the polyhedron {a : rows[k].a <= rhs[k] for every k}.
 
-    Solved in dual form min 1.l over nonnegative combinations of the signed
-    rows summing to c; the simplex multipliers recover a maximizer.
+    `rhs` defaults to all ones.  Solved in dual form, min rhs.l over l >= 0
+    with sum_k l_k rows[k] = c: the constraint matrix is the transpose of
+    `rows`, the cost is `rhs`, and the simplex duals are a maximizer.
+    Returns (value, maximizer, multipliers l).
     """
     d = len(c)
-    cols: list[Row] = []
-    for w in rows:
-        cols.append([Fraction(v) for v in w])
-        cols.append([-Fraction(v) for v in w])
-    if not cols:
+    if not rows:
         if any(Fraction(v) != 0 for v in c):
             raise ValueError("unbounded support function: no constraints")
-        return Fraction(0), [Fraction(0)] * d
-    a_mat = [[col[i] for col in cols] for i in range(d)]
-    ones = [Fraction(1)] * len(cols)
-    res = solve_lp(a_mat, list(c), ones)
+        return Fraction(0), [Fraction(0)] * d, []
+    if rhs is None:
+        rhs = [Fraction(1)] * len(rows)
+    a_mat = [[row[i] for row in rows] for i in range(d)]
+    res = solve_lp(a_mat, list(c), rhs)
     if res.status == "infeasible":
         raise ValueError("objective outside the span of the constraints")
     if res.status != "optimal":
         raise ValueError(f"unexpected LP status {res.status}")
-    witness = res.duals
-    return res.objective, witness
+    return res.objective, res.duals, res.x
 
 
-def max_min_over_simplex(
-    columns: Sequence[Sequence[Fraction]],
-) -> tuple[Fraction, Row]:
+def max_min_over_simplex(columns: Sequence[Sequence[Fraction]]) -> Fraction:
     """max over convex weights l of min_i (sum_j l_j columns[j][i]).
 
-    columns[j] is the vector of the j-th generator; returns the optimum and
-    the weights.  Used for exact feasibility of 'some dual-ball element is
-    >= eps on every listed coordinate'.
+    columns[j] is the vector of the j-th generator.  Used for exact
+    feasibility of 'some dual-ball element is >= eps on every listed
+    coordinate'.  By LP duality it is min t over (mu, t) with mu in the
+    simplex and columns[j].mu <= t for every j, minus the support function of
+    (0, .., 0, -1); the weights l are the multipliers of the rows (columns[j], -1).
     """
     k = len(columns)
     if k == 0:
         raise ValueError("need at least one generator")
     d = len(columns[0])
     if d == 0:
-        return Fraction(0), [Fraction(1)] + [Fraction(0)] * (k - 1)
-    # variables: l_1..l_k, z+, z-, s_1..s_d ; constraints:
-    #   sum_j l_j columns[j][i] - (z+ - z-) - s_i = 0   (i = 1..d)
-    #   sum_j l_j = 1
-    rows: list[Row] = []
-    rhs: list[Fraction] = []
-    nvars = k + 2 + d
-    for i in range(d):
-        row = [Fraction(columns[j][i]) for j in range(k)]
-        row += [Fraction(-1), Fraction(1)]
-        row += [Fraction(-(x == i)) for x in range(d)]
-        rows.append(row)
-        rhs.append(Fraction(0))
-    rows.append([Fraction(1)] * k + [Fraction(0)] * (2 + d))
-    rhs.append(Fraction(1))
-    cost = [Fraction(0)] * k + [Fraction(-1), Fraction(1)] + [Fraction(0)] * d
-    res = solve_lp(rows, rhs, cost)
-    if res.status != "optimal":
-        raise ValueError(f"unexpected LP status {res.status}")
-    weights = res.x[:k]
-    return -res.objective, weights
+        return Fraction(0)
+    zero, one = Fraction(0), Fraction(1)
+    rows = [[Fraction(v) for v in col] + [-one] for col in columns]
+    rows += [[-one] * d + [zero], [one] * d + [zero]]
+    rows += [[-one if x == i else zero for x in range(d)] + [zero] for i in range(d)]
+    rhs = [zero] * k + [-one, one] + [zero] * d
+    value, _, _ = support_function(rows, [zero] * d + [-one], rhs)
+    return -value

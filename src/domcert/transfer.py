@@ -10,7 +10,9 @@ and reading off block-sequence certificates.
 `frak_f_epsilon` computes the family of index sets simultaneously witnessed
 above eps by one dual-ball element, by exact LP feasibility over the convex
 hull of the signed norming functionals (or, for l_2, by exact min-norm-point
-computation over the witness polyhedron).
+computation over the witness polyhedron).  The LP is
+`linprog.max_min_over_simplex`, posed like every domcert LP as a support
+function over a row list `(rows, rhs)`, {a : rows[k].a <= rhs[k]}.
 """
 
 from __future__ import annotations
@@ -423,8 +425,7 @@ def frak_f_epsilon(
             return Fraction(0)
         key = tuple(sorted(zip(*sorted(zip(*sorted(live))))))
         if key not in z_cache:
-            z, _ = max_min_over_simplex([list(col) for col in live])
-            z_cache[key] = z
+            z_cache[key] = max_min_over_simplex(live)
         return z_cache[key]
 
     def feasible(f: FinSet) -> bool:

@@ -91,3 +91,8 @@ def test_criterion_11_main2_bridge():
 
 def test_criterion_12_gamma_brackets():
     _run("12")
+
+
+def test_unknown_suite_is_a_value_error():
+    with pytest.raises(ValueError, match="unknown suite 'bogus'"):
+        acc.run_suite("bogus")

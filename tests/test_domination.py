@@ -21,7 +21,7 @@ from domcert.domination import (
 )
 from domcert.families import Schreier
 from domcert.linprog import solve_square
-from domcert.norms import C0, Combinatorial, L1, norm
+from domcert.norms import C0, Combinatorial, L1, Lp, norm
 from domcert.ordinals import from_int
 from domcert.rationals import MAG_INF, Mag
 from domcert.vectors import Vector, combine
@@ -96,6 +96,34 @@ class TestExactConstant:
                 )
                 ys_items.append(
                     Vector.of({i: rng.randint(1, 3) for i in range(pos, pos + w)})
+                )
+                pos += w
+            xs = VectorSequence(tuple(xs_items), sx)
+            ys = VectorSequence(tuple(ys_items), sy)
+            fast = domination_constant_exact(xs, ys).value
+            slow = brute_constant(xs, ys)
+            assert fast == slow, (trial, fast, slow)
+
+    def test_lp_left_matches_brute_oracle(self):
+        # l_p left spaces take the vertex enumeration of _lp_left_constant;
+        # signed right vectors keep them off the orthant route
+        rng = random.Random(3)
+        rights = [X1, C0(), L1()]
+        for trial in range(16):
+            t = rng.randint(1, 3)
+            sx = Lp(rng.choice((2, 3)))
+            sy = rights[rng.randrange(3)]
+            xs_items, ys_items = [], []
+            pos = 1
+            for _ in range(t):
+                w = rng.randint(1, 2)
+                xs_items.append(
+                    Vector.of({i: rng.randint(1, 3) for i in range(pos, pos + w)})
+                )
+                ys_items.append(
+                    Vector.of(
+                        {i: rng.choice((-1, 1)) * rng.randint(1, 3) for i in range(pos, pos + w)}
+                    )
                 )
                 pos += w
             xs = VectorSequence(tuple(xs_items), sx)

@@ -1,0 +1,251 @@
+"""Direct tests of the exact LP layer: `solve_lp`, the one LP form
+`support_function(rows, c, rhs)` and the max-min built on it."""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from domcert import linprog
+from domcert.domination import _support_function_nonneg
+from domcert.linprog import max_min_over_simplex, solve_lp, solve_square, support_function
+
+F = Fraction
+
+
+def dot(u, v):
+    return sum((F(a) * F(b) for a, b in zip(u, v)), F(0))
+
+
+def interleave(rows):
+    """The symmetric polytope {a : |w.a| <= 1} as the rows w, -w."""
+    return [s for w in rows for s in (tuple(w), tuple(-v for v in w))]
+
+
+def assert_duality(rows, c, rhs, result):
+    """The exact optimality certificate of max c.a over {rows.a <= rhs}."""
+    value, a, lam = result
+    assert a is not None and len(a) == len(c) and len(lam) == len(rows)
+    assert all(dot(row, a) <= b for row, b in zip(rows, rhs))
+    assert all(l >= 0 for l in lam)
+    for i, ci in enumerate(c):
+        assert sum((l * F(row[i]) for l, row in zip(lam, rows)), F(0)) == ci
+    assert dot(c, a) == value == dot(rhs, lam)
+
+
+class TestSolveLp:
+    def test_optimal(self):
+        # min x1 + x2 s.t. x1 + 2 x2 = 4, x >= 0
+        res = solve_lp([[1, 2]], [4], [1, 1])
+        assert res.status == "optimal"
+        assert res.x == [0, 2] and res.objective == 2 and res.duals == [F(1, 2)]
+
+    def test_infeasible(self):
+        assert solve_lp([[1, 1]], [-1], [1, 1]).status == "infeasible"
+
+    def test_unbounded(self):
+        # min -x1 s.t. x1 = x2
+        assert solve_lp([[1, -1]], [0], [-1, 0]).status == "unbounded"
+
+    def test_redundant_row_dropped_with_zero_multiplier(self):
+        res = solve_lp([[1, 1], [2, 2]], [2, 4], [1, 2])
+        assert res.status == "optimal"
+        assert res.x == [2, 0] and res.objective == 2
+        assert res.duals == [1, 0]
+
+
+class TestSupportFunction:
+    def test_square(self):
+        value, a, lam = support_function(interleave([(1, 0), (0, 1)]), [1, 1])
+        assert value == 2 and a == [1, 1]
+        assert lam == [1, 0, 1, 0]
+
+    def test_rhs(self):
+        # max a1 + a2 over a1 <= 3, a2 <= 1/2, -a1 - a2 <= 0
+        rows = [(1, 0), (0, 1), (-1, -1)]
+        rhs = [3, F(1, 2), 0]
+        result = support_function(rows, [1, 1], rhs)
+        assert result[0] == F(7, 2)
+        assert_duality(rows, [1, 1], rhs, result)
+
+    def test_no_rows(self):
+        assert support_function([], [0, 0]) == (0, [0, 0], [])
+        with pytest.raises(ValueError, match="no constraints"):
+            support_function([], [1, 0])
+
+    def test_objective_outside_the_span(self):
+        with pytest.raises(ValueError, match="outside the span"):
+            support_function(interleave([(1, 0)]), [0, 1])
+
+    def test_empty_polyhedron(self):
+        # a <= -1 and -a <= -1: the dual is unbounded
+        with pytest.raises(ValueError, match="unbounded"):
+            support_function([(1,), (-1,)], [1], [-1, -1])
+
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda d: st.tuples(
+                st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d), max_size=5),
+                st.lists(st.integers(-3, 3), min_size=d, max_size=d),
+            )
+        ),
+        st.lists(st.integers(0, 3), min_size=5, max_size=5),
+        st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_duality_certificate(self, rows_c, rhs, boxed):
+        rows, c = rows_c
+        d = len(c)
+        rhs = rhs[: len(rows)]
+        if boxed:
+            for i in range(d):
+                e = [int(j == i) for j in range(d)]
+                rows = rows + [e, [-v for v in e]]
+                rhs = rhs + [1, 1]
+        try:
+            result = support_function(rows, c, rhs)
+        except ValueError:
+            # a = 0 is feasible, so only an objective outside the cone of
+            # the rows can fail, and a box around the origin rules that out
+            assert not boxed
+            return
+        assert_duality(rows, c, rhs, result)
+
+
+def brute_max_min(columns):
+    """Independent oracle: max z over l in the simplex with
+    sum_j l_j columns[j][i] >= z, by enumerating the vertices of that
+    polyhedron in (l, z)."""
+    k, d = len(columns), len(columns[0])
+    # inequalities g.(l, z) <= 0: -l_j <= 0 and z - sum_j l_j columns[j][i] <= 0
+    ineqs = [[-F(x == j) for x in range(k)] + [F(0)] for j in range(k)]
+    ineqs += [[-F(columns[j][i]) for j in range(k)] + [F(1)] for i in range(d)]
+    simplex = [F(1)] * k + [F(0)]
+    best = None
+    for tight in itertools.combinations(ineqs, k):
+        sol = solve_square([simplex, *tight], [F(1)] + [F(0)] * k)
+        if sol is None or any(dot(g, sol) > 0 for g in ineqs):
+            continue
+        if best is None or sol[k] > best:
+            best = sol[k]
+    return best
+
+
+class TestMaxMin:
+    def test_matches_brute_vertex_oracle(self):
+        rng = random.Random(5)
+        for trial in range(40):
+            d, k = rng.randint(1, 3), rng.randint(1, 4)
+            cols = [[F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(d)] for _ in range(k)]
+            assert max_min_over_simplex(cols) == brute_max_min(cols), (trial, cols)
+
+    def test_errors_and_empty(self):
+        with pytest.raises(ValueError):
+            max_min_over_simplex([])
+        assert max_min_over_simplex([[], []]) == 0
+
+
+# Golden (value, maximizer) pins for seeded instances of the three LP forms,
+# recorded from the tableaux each form was first built with.  The simplex
+# picks one optimal vertex among several, so a reordered tableau moves the
+# maximizer (and with it the witnesses that domcert prints) before any value.
+
+def signed_instance(seed):
+    rng = random.Random(seed)
+    d = rng.randint(2, 3)
+    rows = [tuple(F(rng.randint(-3, 3)) for _ in range(d))
+            for _ in range(rng.randint(d, d + 3))]
+    c = [rng.randint(1, 2) * v for v in rows[rng.randrange(len(rows))]]
+    return rows, c
+
+
+def orthant_instance(seed):
+    rng = random.Random(seed)
+    d = rng.randint(2, 3)
+    rows = [tuple(F(rng.randint(0, 3)) for _ in range(d))
+            for _ in range(rng.randint(2, 4))]
+    rows.append(tuple(F(1) for _ in range(d)))
+    c = tuple(rng.randint(1, 2) * v for v in rows[rng.randrange(len(rows))])
+    return rows, c
+
+
+def maxmin_instance(seed):
+    rng = random.Random(seed)
+    d = rng.randint(2, 3)
+    cols = [[F(rng.randint(-3, 3)) for _ in range(d)] for _ in range(rng.randint(2, 4))]
+    return cols + [list(cols[rng.randrange(len(cols))])]
+
+
+SIGNED = [
+    ('8/5', ('4/15', '-1/5', '-1/3')),
+    ('2', ('0', '1/3')),
+    ('2', ('1/3', '0')),
+    ('5/2', ('-1/2', '-1/2')),
+    ('2', ('-1/3', '0')),
+    ('22/7', ('-5/7', '-8/21', '25/21')),
+    ('3/2', ('-1/4', '1/4')),
+    ('2', ('-1/12', '-1/4', '-1/2')),
+    ('11/6', ('-5/12', '1/12')),
+    ('2', ('-13/33', '4/11', '-16/33')),
+]
+ORTHANT = [
+    ('2/3', ('0', '0', '1/3')),
+    ('2/3', ('0', '1/3')),
+    ('1', ('1', '0')),
+    ('2', ('1/3', '1/3')),
+    ('2', ('2/9', '1/3')),
+    ('2/3', ('1/4', '1/4', '1/6')),
+    ('2', ('0', '1/2')),
+    ('1', ('0', '0', '1')),
+    ('1/3', ('1/3', '0')),
+    ('1', ('0', '1/6', '1/2')),
+]
+# value and the simplex weights of the generators
+MAXMIN = [
+    ('0', ('0', '1', '0', '0')),
+    ('3', ('1', '0', '0', '0', '0')),
+    ('-9/7', ('5/7', '2/7', '0')),
+    ('2/5', ('2/5', '0', '3/5', '0', '0')),
+    ('0', ('0', '1', '0', '0')),
+    ('55/27', ('2/9', '20/27', '1/27', '0', '0')),
+    ('1/2', ('1/2', '0', '1/2', '0')),
+    ('-9/7', ('4/7', '3/7', '0')),
+    ('-2/3', ('2/3', '1/3', '0', '0')),
+    ('-6/7', ('0', '3/7', '0', '4/7', '0')),
+]
+
+
+def pinned(pin):
+    value, vector = pin
+    return F(value), [F(v) for v in vector]
+
+
+class TestGoldenPins:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_signed(self, seed):
+        rows, c = signed_instance(seed)
+        value, a, _ = support_function(interleave(rows), c)
+        assert (value, a) == pinned(SIGNED[seed])
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_orthant(self, seed):
+        rows, c = orthant_instance(seed)
+        value, a = _support_function_nonneg(rows, c)
+        assert (value, a) == pinned(ORTHANT[seed])
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_max_min(self, seed, monkeypatch):
+        cols = maxmin_instance(seed)
+        seen = []
+
+        def spy(*args):
+            result = support_function(*args)
+            seen.append(result)
+            return result
+
+        monkeypatch.setattr(linprog, "support_function", spy)
+        value = max_min_over_simplex(cols)
+        (_, _, multipliers), = seen
+        assert (value, multipliers[: len(cols)]) == pinned(MAXMIN[seed])
