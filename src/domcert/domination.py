@@ -3,12 +3,17 @@
 A sequence (x_n) is C-dominated by (y_n) when every finite combination
 satisfies |sum a_n x_n| <= C |sum a_n y_n|.  The least such C is the maximum
 of the left norm over the polytope {a : |sum a_n y_n| <= 1}, computed exactly:
-for a polyhedral left space by one `linprog.support_function` LP per left
-norming functional, for an l_p left norm over pairwise disjoint vectors by
-vertex enumeration of the positive part of the polytope.  The polytope is
-passed in the one LP form `(rows, rhs)`, {a : rows[k].a <= rhs[k]}: each
-right functional row w gives the rows w and -w with right-hand side 1, and
-its positive part is the rows with right-hand side 1 followed by -e_i <= 0.
+for a polyhedral left space as the largest support value of the polytope over
+the left norming functionals, for an l_p left norm over pairwise disjoint
+vectors by vertex enumeration of the positive part of the polytope.  The
+polytope is passed in the one LP form `(rows, rhs)`, {a : rows[k].a <= rhs[k]}:
+each right functional row w gives the rows w and -w with right-hand side 1,
+and its positive part is the rows with right-hand side 1 followed by
+-e_i <= 0.  One `linprog.Polyhedron` serves all the functionals of a call:
+their values come from its cached optimal bases, so a call runs one simplex
+per distinct optimal vertex, and the witness is the maximizer a fresh
+`support_function` solve gives for the first functional attaining the
+largest value.
 
 Certificates assert {(M(F), L(F)) : F in FineSchreier(xi)} is contained in
 the pairing tree T(rho, C) up to a finite depth; verification checks the
@@ -19,6 +24,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
+import random
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -33,12 +40,22 @@ from .families import (
     Q_DEFAULT,
     as_finset,
     enumerate_family,
+    is_spread_of,
     maximal_members,
 )
-from .linprog import nullspace, solve_square, support_function
-from .norms import SpaceSpec, format_space, is_polyhedral, norm, norming_functionals, Lp, parse_space
+from .linprog import Polyhedron, nullspace, solve_square, support_function
+from .norms import (
+    Combinatorial,
+    SpaceSpec,
+    format_space,
+    is_polyhedral,
+    norm,
+    norming_functionals,
+    Lp,
+    parse_space,
+)
 from .ordinals import Ordinal, format_ordinal, parse_ordinal
-from .rationals import Mag, MAG_INF, MAG_ZERO, format_fraction, parse_fraction
+from .rationals import Mag, MAG_INF, MAG_ONE, MAG_ZERO, format_fraction, parse_fraction
 from .vectors import Vector, combine
 
 
@@ -71,8 +88,6 @@ class VectorSequence:
         return VectorSequence(vecs, self.space, self.name)
 
     def all_normalized(self) -> bool:
-        from .rationals import MAG_ONE
-
         return all(norm(self.space, v) == MAG_ONE for v in self.items)
 
     def to_json(self) -> dict:
@@ -174,7 +189,11 @@ def domination_constant_exact(
         # lives on the positive orthant and unsigned functionals suffice
         y_rows = _unsigned_rows(ys.space, ys.items)
         x_rows = _unsigned_rows(xs.space, xs.items)
-        return _largest(_support_function_nonneg(y_rows, c) for c in x_rows)
+        return _largest(
+            Polyhedron(*_orthant_system(y_rows, t)),
+            x_rows,
+            lambda c: _support_function_nonneg(y_rows, c)[1],
+        )
 
     rows = _functional_rows(ys.space, ys.items)
 
@@ -190,7 +209,9 @@ def domination_constant_exact(
         # |w.a| <= 1 as the two rows w and -w
         signed = [s for w in rows for s in (w, tuple(-v for v in w))]
         objectives = _functional_rows(xs.space, xs.items)
-        return _largest(support_function(signed, c)[:2] for c in objectives)
+        return _largest(
+            Polyhedron(signed), objectives, lambda c: support_function(signed, c)[1]
+        )
 
     if isinstance(xs.space, Lp):
         return _lp_left_constant(xs, rows)
@@ -201,15 +222,22 @@ def domination_constant_exact(
     )
 
 
-def _largest(results) -> DominationValue:
-    """The largest of the (value, maximizer) pairs, the first one on ties."""
+def _largest(polytope: Polyhedron, objectives, solve_maximizer) -> DominationValue:
+    """The largest support value of `polytope` over the objectives, with the
+    maximizer of the first objective attaining it.  When the cached basis
+    that answered it cannot vouch that its vertex is the maximizer a fresh
+    solve gives, `solve_maximizer` re-solves that one objective."""
     best: Mag = MAG_ZERO
-    best_wit: Optional[tuple[Fraction, ...]] = None
-    for val, wit in results:
-        if Mag.of(val) > best:
-            best = Mag.of(val)
-            best_wit = tuple(wit) if wit is not None else None
-    return DominationValue(best, best_wit)
+    best_c = best_wit = None
+    for c in objectives:
+        value, maximizer, _ = polytope.support(c)
+        if Mag.of(value) > best:
+            best, best_c, best_wit = Mag.of(value), c, maximizer
+    if best_c is None:
+        return DominationValue(best, None)
+    if best_wit is None:
+        best_wit = solve_maximizer(best_c)
+    return DominationValue(best, tuple(best_wit))
 
 
 def _orthant_system(rows: list[tuple[Fraction, ...]], t: int) -> tuple[list, list[Fraction]]:
@@ -248,8 +276,6 @@ def _lp_left_constant(xs: VectorSequence, rows: list[tuple[Fraction, ...]]) -> D
     pos = {tuple(abs(c) for c in row) for row in rows}
     pos_rows = [r for r in pos if not _dominated_row(r, pos)]
     constraints, rhs = _orthant_system(pos_rows, t)
-    import math
-
     if math.comb(len(constraints), t) > 200_000:
         raise DominationError(
             "vertex enumeration budget exceeded for the Lp left space"
@@ -297,8 +323,6 @@ def domination_lower_bound(
     Always a valid lower bound for the least domination constant; exact
     ratios, deterministic for a fixed seed.
     """
-    import random
-
     if len(xs) != len(ys):
         raise DominationError("sequences must have equal length")
     t = len(xs)
@@ -378,9 +402,6 @@ def right_dominance_defect(
     a family member along l (engine='auto'); engine='lp' forces the general
     exact route.
     """
-    from .families import is_spread_of
-    from .norms import Combinatorial
-
     m, l = as_finset(m), as_finset(l)
     if not is_spread_of(l, m):
         raise DominationError("l must be a spread of m")

@@ -18,9 +18,13 @@ from domcert.domination import (
     search_certificate,
     verify_certificate,
     _functional_rows,
+    _nonneg_disjoint,
+    _orthant_system,
+    _support_function_nonneg,
+    _unsigned_rows,
 )
 from domcert.families import Schreier
-from domcert.linprog import solve_square
+from domcert.linprog import Polyhedron, solve_square, support_function
 from domcert.norms import C0, Combinatorial, L1, Lp, norm
 from domcert.ordinals import from_int
 from domcert.rationals import MAG_INF, Mag
@@ -156,6 +160,85 @@ class TestExactConstant:
             cyz = domination_constant_exact(ys, zs).value
             cxz = domination_constant_exact(xs, zs).value
             assert cxz <= cxy * cyz
+
+
+def fresh_argmax(xs: VectorSequence, ys: VectorSequence):
+    """Plain oracle for polyhedral, injective pairs: one fresh solve per left
+    functional, with the value and maximizer of the first largest one, on the
+    route `domination_constant_exact` takes (the orthant for disjoint
+    nonnegative vectors, the signed polytope otherwise)."""
+    if _nonneg_disjoint(xs) and _nonneg_disjoint(ys):
+        y_rows = _unsigned_rows(ys.space, ys.items)
+        objectives = _unsigned_rows(xs.space, xs.items)
+        results = [_support_function_nonneg(y_rows, c) for c in objectives]
+    else:
+        rows = _functional_rows(ys.space, ys.items)
+        signed = [s for w in rows for s in (w, tuple(-v for v in w))]
+        objectives = _functional_rows(xs.space, xs.items)
+        results = [support_function(signed, c)[:2] for c in objectives]
+    best, witness = Fraction(0), None
+    for value, maximizer in results:
+        if value > best:
+            best, witness = value, tuple(maximizer)
+    return Mag.of(best), witness
+
+
+def x_s1_block_pair(rng: random.Random, widths, signed: bool):
+    """Consecutive blocks of X[S[1]] normalized to norm 1, with coefficients
+    +-p/q (at least one negative when signed), against the basis at their
+    support maxima: the pairs of acceptance criterion 05."""
+    size = sum(widths)
+    coeffs = [Fraction(rng.randint(1, 6), rng.randint(1, 4)) for _ in range(size)]
+    if signed:
+        negative = {rng.randrange(size)} | {k for k in range(size) if rng.random() < 0.3}
+        coeffs = [-c if k in negative else c for k, c in enumerate(coeffs)]
+    blocks, pos = [], 1
+    for w in widths:
+        v = Vector.of({i: coeffs[i - 1] for i in range(pos, pos + w)})
+        blocks.append(v.scale(1 / norm(X1, v).as_fraction()))
+        pos += w
+    maxima = tuple(Vector.basis(v.support[-1]) for v in blocks)
+    return VectorSequence(tuple(blocks), X1), VectorSequence(maxima, X1)
+
+
+class TestCachedBases:
+    """`domination_constant_exact` takes its values from the cached optimal
+    bases of one `Polyhedron` per call; value and witness must be those of
+    fresh solves."""
+
+    SHAPES = [(1,), (2,), (1, 2), (2, 2), (1, 1, 2), (2, 1, 2), (1, 2, 1, 2), (2, 2, 2, 2)]
+
+    @pytest.mark.parametrize("signed", [True, False], ids=["signed", "positive"])
+    def test_block_pairs_match_fresh_solves(self, signed):
+        rng = random.Random(11 + signed)
+        for widths in self.SHAPES:
+            xs, ys = x_s1_block_pair(rng, widths, signed)
+            res = domination_constant_exact(xs, ys)
+            assert (res.value, res.witness) == fresh_argmax(xs, ys), widths
+
+    def test_degenerate_hit_takes_the_fresh_witness(self):
+        # all-positive blocks e1, (e2 + 8 e3)/9, (e4 + 12 e5 + 5 e6)/18, e7:
+        # the largest value, 1, first comes from the second left functional,
+        # and a basis cached for the first answers it with a degenerate
+        # multiplier, at a vertex other than the one a fresh solve gives
+        xs = VectorSequence((
+            e(1),
+            Vector.of({2: Fraction(1, 9), 3: Fraction(8, 9)}),
+            Vector.of({4: Fraction(1, 18), 5: Fraction(2, 3), 6: Fraction(5, 18)}),
+            e(7),
+        ), X1)
+        ys = VectorSequence(tuple(e(i) for i in (1, 3, 6, 7)), X1)
+        y_rows = _unsigned_rows(X1, ys.items)
+        objectives = _unsigned_rows(X1, xs.items)
+        polytope = Polyhedron(*_orthant_system(y_rows, 4))
+        first = polytope.support(objectives[0])
+        value, maximizer, _ = polytope.support(objectives[1])
+        fresh = _support_function_nonneg(y_rows, objectives[1])
+        assert first[0] < value == fresh[0] == 1 and len(polytope._bases) == 1
+        assert maximizer is None and polytope._bases[0].vertex != fresh[1]
+        res = domination_constant_exact(xs, ys)
+        assert (res.value, res.witness) == fresh_argmax(xs, ys)
+        assert res.witness == (1, 0, 0, 1)
 
 
 class TestLowerBound:

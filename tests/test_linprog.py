@@ -1,5 +1,6 @@
 """Direct tests of the exact LP layer: `solve_lp`, the one LP form
-`support_function(rows, c, rhs)` and the max-min built on it."""
+`support_function(rows, c, rhs)`, the basis cache of `Polyhedron` and the
+max-min built on them."""
 
 import itertools
 import random
@@ -10,7 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 from domcert import linprog
 from domcert.domination import _support_function_nonneg
-from domcert.linprog import max_min_over_simplex, solve_lp, solve_square, support_function
+from domcert.linprog import (
+    Polyhedron,
+    max_min_over_simplex,
+    solve_lp,
+    solve_square,
+    support_function,
+)
 
 F = Fraction
 
@@ -79,6 +86,12 @@ class TestSupportFunction:
         with pytest.raises(ValueError, match="outside the span"):
             support_function(interleave([(1, 0)]), [0, 1])
 
+    def test_objective_outside_the_cone(self):
+        # (-1, 0) is the negative of the first row, so it lies in the span of
+        # the rows but not in their cone: the maximum is unbounded
+        with pytest.raises(ValueError, match="unbounded.*outside the cone"):
+            support_function([(1, 0), (0, 1), (0, -1)], [-1, 0])
+
     def test_empty_polyhedron(self):
         # a <= -1 and -a <= -1: the dual is unbounded
         with pytest.raises(ValueError, match="unbounded"):
@@ -112,6 +125,104 @@ class TestSupportFunction:
             assert not boxed
             return
         assert_duality(rows, c, rhs, result)
+
+
+def degenerate_system(seed, signed):
+    """A seeded polyhedron with repeated and parallel rows, so that its
+    vertices are degenerate, and objectives in the cone of its rows: the
+    rows themselves, their multiples and nonnegative combinations, repeated.
+    Signed systems are the rows w, -w with rhs 1; orthant systems are rows
+    >= 0 with rhs 1 followed by -e_i <= 0."""
+    rng = random.Random(seed)
+    d = rng.randint(1, 3)
+    lo = -2 if signed else 0
+    base = [tuple(F(rng.randint(lo, 2)) for _ in range(d)) for _ in range(rng.randint(1, 4))]
+    base = [w for w in base if any(w)] or [tuple(F(1) for _ in range(d))]
+    base += [base[0], tuple(2 * v for v in base[-1])]
+    if signed:
+        rows, rhs = interleave(base), [F(1)] * 2 * len(base)
+    else:
+        rows = base + [tuple(F(-(i == j)) for j in range(d)) for i in range(d)]
+        rhs = [F(1)] * len(base) + [F(0)] * d
+    gens = rows if signed else base
+    objectives = []
+    for _ in range(rng.randint(3, 8)):
+        pick = rng.randrange(3)
+        if pick == 0 and objectives:
+            objectives.append(rng.choice(objectives))
+        elif pick == 1:
+            k, g = rng.randint(1, 3), rng.choice(gens)
+            objectives.append([k * v for v in g])
+        else:
+            weights = [rng.randint(0, 2) for _ in gens]
+            objectives.append([sum((w * g[i] for w, g in zip(weights, gens)), F(0))
+                               for i in range(d)])
+    return rows, rhs, objectives
+
+
+class TestPolyhedron:
+    @given(st.integers(0, 2**32), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_fresh_solves(self, seed, signed):
+        rows, rhs, objectives = degenerate_system(seed, signed)
+        polytope = Polyhedron(rows, rhs)
+        for c in objectives:
+            value, a, lam = polytope.support(c)
+            fresh = support_function(rows, c, rhs)
+            assert value == fresh[0]
+            # the multipliers certify the value even when no maximizer is given
+            assert len(lam) == len(rows) and all(l >= 0 for l in lam)
+            for i, ci in enumerate(c):
+                assert sum((l * row[i] for l, row in zip(lam, rows)), F(0)) == ci
+            assert dot(rhs, lam) == value
+            if a is not None:
+                assert a == fresh[1]
+                assert_duality(rows, c, rhs, (value, a, lam))
+
+    def test_one_solve_per_optimal_basis(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return solve_lp(*args)
+
+        monkeypatch.setattr(linprog, "solve_lp", counting)
+        polytope = Polyhedron(interleave([(1, 0), (0, 1)]))
+        # (1, 1), its multiple and (2, 1) share the vertex (1, 1) and its basis
+        values = [polytope.support(c)[0] for c in ([1, 1], [3, 3], [2, 1], [-1, 1])]
+        assert values == [2, 6, 3, 2]
+        assert len(calls) == 2
+
+    def test_unique_vertex_is_returned_and_degenerate_one_is_not(self):
+        polytope = Polyhedron(interleave([(1, 0), (0, 1)]))
+        assert polytope.support([1, 1])[1] == [1, 1]
+        # every l_k > 0: (1, 1) is the only maximizer of (2, 1)
+        assert polytope.support([2, 1]) == (3, [1, 1], [2, 0, 1, 0])
+        # l_k = 0 on a row of the basis: the whole edge a1 = 1 maximizes (1, 0)
+        value, a, _ = polytope.support([1, 0])
+        assert value == 1 and a is None
+
+    def test_miss_raises_what_support_function_raises(self):
+        # the rows do not span the third coordinate, so the simplex drops it
+        rows = [(1, 0, 0), (0, 1, 0), (0, -1, 0)]
+        for c, match in (([-1, 0, 0], "outside the cone"), ([1, 0, 1], "outside the span")):
+            with pytest.raises(ValueError, match=match):
+                support_function(rows, c)
+            polytope = Polyhedron(rows)
+            with pytest.raises(ValueError, match=match):
+                polytope.support(c)
+            # the basis cached for (1, 0, 0) has l_B >= 0 for (1, 0, 1) on
+            # the kept coordinates, but not sum l_k rows_k = c on the third
+            assert polytope.support([1, 0, 0])[0] == 1
+            with pytest.raises(ValueError, match=match):
+                polytope.support(c)
+
+    def test_a_failed_exact_check_raises(self):
+        polytope = Polyhedron(interleave([(1, 0), (0, 1)]))
+        polytope.support([1, 1])
+        polytope._bases[0].vertex = [F(1), F(2)]
+        with pytest.raises(ArithmeticError, match="rhs_B.l_B = c.v"):
+            polytope.support([2, 1])
 
 
 def brute_max_min(columns):
