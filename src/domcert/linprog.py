@@ -233,6 +233,11 @@ def _dual_lp(
         raise ValueError(
             "unbounded support function: objective outside the cone of the constraints"
         )
+    if res.status == "unbounded":
+        # by weak duality every point of the polyhedron bounds the dual below
+        raise ValueError(
+            "empty polyhedron: no point satisfies rows.a <= rhs (the dual LP is unbounded)"
+        )
     if res.status != "optimal":
         raise ValueError(f"unexpected LP status {res.status}")
     return res

@@ -8,10 +8,11 @@ the sum family, merging a tower of nested certificates into one index pair,
 and reading off block-sequence certificates.
 
 `frak_f_epsilon` computes the family of index sets simultaneously witnessed
-above eps by one dual-ball element, by exact LP feasibility over the convex
-hull of the signed norming functionals (or, for l_2, by exact min-norm-point
-computation over the witness polyhedron).  The LP is
-`linprog.max_min_over_simplex`, posed like every domcert LP as a support
+above eps by one dual-ball element.  Membership of F depends on eps only
+through a threshold on an eps-free score, its max-min value z (for l_2,
+z^2 = 1/m with m the squared minimum norm of the witness polyhedron at
+threshold 1), so `wn_select` reads every level phi^k off one score table.
+The max-min is `linprog.max_min_over_simplex`, posed like every domcert LP as a support
 function over a row list `(rows, rhs)`, {a : rows[k].a <= rhs[k]}.
 """
 
@@ -19,6 +20,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -333,46 +336,121 @@ def block_certificate(
     return _verified(cert, rho, q), rho
 
 
-def _l2_witness_feasible(vectors: list[Vector], eps: Fraction) -> bool:
-    """Exact feasibility of: some y with |y|_2 <= 1 has |<y, v_n>| >= eps for
-    all n.  Min-norm point over each sign orthant of the constraint
-    polyhedron, by active-set enumeration over the Gram matrix."""
-    k = len(vectors)
-    if k == 0:
-        return True
-    gram = [[u.dot(v) for v in vectors] for u in vectors]
-    if all(gram[i][j] == 0 for i in range(k) for j in range(k) if i != j):
-        # orthogonal witnesses: closed form
-        if any(gram[i][i] == 0 for i in range(k)):
-            return False
-        dist = sum((eps * eps / gram[i][i] for i in range(k)), Fraction(0))
-        return dist <= 1
-    for signs in itertools.product((1, -1), repeat=k - 1):
-        sigma = (1,) + signs
+class _WitnessScores:
+    """The eps-free witness scores of the index sets of xs[:n], for the span
+    of one `frak_f_epsilon` or `wn_select` call.  F is in frak_eps when some
+    sign pattern sigma, tried in order up to the first that passes, has
+    z(F, sigma) = max over the dual ball of min_i sigma_i x*(x_i) >= eps, or
+    z^2 = 1/m >= eps^2 in l_2.  The functional-by-vector table (the Gram
+    matrix for l_2), the max-min LPs and the scores are shared by every eps."""
+
+    def __init__(self, xs: VectorSequence, n: int):
+        if n > len(xs):
+            raise TransferError("n exceeds the available prefix")
+        vectors = xs.items[:n]
+        self.xs, self.n = xs, n
+        self.l2 = isinstance(xs.space, Lp) and xs.space.p == 2
+        # every polyhedral space here is 1-unconditional, so for nonnegative
+        # vectors |x*| witnesses whatever x* does: one sign pattern, over the
+        # absolute functionals
+        self.unconditional = not self.l2 and all(c >= 0 for v in vectors for _, c in v.entries)
+        if self.l2:
+            self.table = [[u.dot(v) for v in vectors] for u in vectors]
+        elif not is_polyhedral(xs.space):
+            raise TransferError(f"{format_space(xs.space)} has no finite dual description")
+        else:
+            support = tuple(sorted({i for v in vectors for i in v.support}))
+            phis = norming_functionals(xs.space, support)
+            if self.unconditional:
+                phis = sorted(
+                    {Vector(tuple((i, abs(c)) for i, c in phi.entries)) for phi in phis},
+                    key=lambda v: v.entries,
+                )
+            self.table = [[phi.dot(v) for v in vectors] for phi in phis]
+        # both scores are positively homogeneous of degree 1 in the table, so
+        # it is kept in integers over one denominator and the thresholds scaled
+        self.scale = math.lcm(*(c.denominator for row in self.table for c in row))
+        self.table = [[int(c * self.scale) for c in row] for row in self.table]
+        self._maxmin: dict[tuple, Fraction] = {}
+        self._scores: dict[tuple[FinSet, tuple[int, ...]], Fraction] = {}
+
+    def family(self, eps: Fraction) -> Explicit:
+        """frak_eps restricted to {1..n}: hereditary, so grown level by level
+        from the members below."""
+        bar = self.scale * (eps * eps if self.l2 else eps)
+        members: set[FinSet] = {()}
+        level: list[FinSet] = [()]
+        while level:
+            level = [
+                f + (x,)
+                for f in level
+                for x in range(f[-1] + 1 if f else 1, self.n + 1)
+                if all(f[:i] + f[i + 1 :] + (x,) in members for i in range(len(f)))
+                and self._passes(f + (x,), bar)
+            ]
+            members.update(level)
+        return Explicit(frozenset(members))
+
+    def _passes(self, f: FinSet, bar: Fraction) -> bool:
+        # flipping the sign of an l_2 witness orthogonal to the others
+        # changes no score
+        orthogonal = self.l2 and all(
+            self.table[i - 1][j - 1] == 0 for i, j in itertools.combinations(f, 2)
+        )
+        patterns = (
+            [(1,) * len(f)]
+            if self.unconditional or orthogonal
+            else ((1,) + s for s in itertools.product((1, -1), repeat=len(f) - 1))
+        )
+        for sigma in patterns:
+            if (f, sigma) not in self._scores:
+                self._scores[f, sigma] = (
+                    self._l2_score(f, sigma, orthogonal) if self.l2 else self._max_min(f, sigma)
+                )
+            if self._scores[f, sigma] >= bar:
+                return True
+        return False
+
+    def _max_min(self, f: FinSet, sigma: tuple[int, ...]) -> Fraction:
+        cols = [[s * row[i - 1] for s, i in zip(sigma, f)] for row in self.table]
+        live = [tuple(col) for col in cols if any(col)]
+        if not live:
+            return Fraction(0)
+        # the optimum is invariant under permuting constraint coordinates and
+        # generator columns, and under dropping all-zero generators;
+        # canonicalizing lets isomorphic candidates share one solve
+        key = tuple(sorted(zip(*sorted(zip(*sorted(live))))))
+        if key not in self._maxmin:
+            self._maxmin[key] = max_min_over_simplex(live)
+        return self._maxmin[key]
+
+    def _l2_score(self, f: FinSet, sigma: tuple[int, ...], orthogonal: bool) -> Fraction:
+        """1/m for m = min |y|_2^2 over {y : sigma_i <y, x_i> >= 1 for i in
+        F}, or 0 when that set is empty.  Every KKT point of this convex
+        problem is its unique min-norm point y, with |y|^2 the sum of its
+        multipliers, so the search over active sets ends at the first."""
+        if orthogonal:
+            diagonal = [self.table[i - 1][i - 1] for i in f]
+            return Fraction(0) if 0 in diagonal else 1 / sum(Fraction(1, g) for g in diagonal)
         signed = [
-            [sigma[i] * sigma[j] * gram[i][j] for j in range(k)] for i in range(k)
+            [sigma[a] * sigma[b] * self.table[i - 1][j - 1] for b, j in enumerate(f)]
+            for a, i in enumerate(f)
         ]
-        best: Optional[Fraction] = None
-        for size in range(1, k + 1):
-            for subset in itertools.combinations(range(k), size):
-                sub = [[signed[i][j] for j in subset] for i in subset]
-                rhs = [eps] * size
-                mu = solve_square(sub, rhs)
-                if mu is None or any(v < 0 for v in mu):
-                    continue
-                # primal feasibility of the projection over all constraints
-                vals = [
-                    sum((mu[a] * signed[i][subset[a]] for a in range(size)), Fraction(0))
-                    for i in range(k)
-                ]
-                if any(v < eps for v in vals):
-                    continue
-                sq = sum((mu[a] * eps for a in range(size)), Fraction(0))
-                if best is None or sq < best:
-                    best = sq
-        if best is not None and best <= 1:
-            return True
-    return False
+        for size in range(len(f), 0, -1):
+            for subset in itertools.combinations(range(len(f)), size):
+                mu = solve_square([[signed[a][b] for b in subset] for a in subset], [1] * size)
+                # a KKT point when mu >= 0 and the projection meets every
+                # constraint, not only the active ones
+                if mu is not None and all(v >= 0 for v in mu) and all(
+                    sum(m * row[b] for m, b in zip(mu, subset)) >= 1 for row in signed
+                ):
+                    return 1 / sum(mu)
+        return Fraction(0)
+
+
+# the score table of the `wn_select` call in progress, read by its
+# `frak_f_epsilon` calls; set for the span of that call only
+_SHARED_SCORES: ContextVar[Optional[_WitnessScores]] = ContextVar("shared_scores", default=None)
 
 
 def frak_f_epsilon(
@@ -382,87 +460,16 @@ def frak_f_epsilon(
     q: QSchedule = Q_DEFAULT,
 ) -> Explicit:
     """The restriction to {1..n} of the family of index sets F admitting one
-    dual-ball element x* with |x*(x_i)| >= eps for every i in F.
-
-    Hereditary by definition, so candidates are grown level by level; each
-    candidate is decided by exact LP feasibility over the signed norming
-    functionals (polyhedral spaces) or exact quadratic feasibility (l_2).
-    """
+    dual-ball element x* with |x*(x_i)| >= eps > 0 for every i in F: one
+    hereditary sweep of a witness-score table, fresh unless a `wn_select`
+    call on the same (xs, n) is sharing its own."""
     eps = Fraction(eps)
-    if n > len(xs):
-        raise TransferError("n exceeds the available prefix")
-    space = xs.space
-    l2 = isinstance(space, Lp) and space.p == 2
-    if not l2 and not is_polyhedral(space):
-        raise TransferError(f"{format_space(space)} has no finite dual description")
-
-    phis: list[Vector] = []
-    abs_phis: list[Vector] = []
-    if not l2:
-        support = sorted({i for v in xs.items[:n] for i in v.support})
-        phis = norming_functionals(space, tuple(support))
-        abs_phis = sorted(
-            {Vector(tuple((i, abs(c)) for i, c in phi.entries)) for phi in phis},
-            key=lambda v: v.entries,
-        )
-        nonneg = all(all(c >= 0 for _, c in v.entries) for v in xs.items[:n])
-        disjoint = True
-        seen: set[int] = set()
-        for v in xs.items[:n]:
-            if seen & set(v.support):
-                disjoint = False
-            seen |= set(v.support)
-
-    # the optimum of the feasibility LP is invariant under permuting
-    # constraint coordinates and generator columns, and under dropping
-    # all-zero generators; canonicalizing lets isomorphic candidates share
-    # one solve
-    z_cache: dict[tuple, Fraction] = {}
-
-    def cached_maxmin(cols: list[list[Fraction]]) -> Fraction:
-        live = [tuple(col) for col in cols if any(col)]
-        if not live:
-            return Fraction(0)
-        key = tuple(sorted(zip(*sorted(zip(*sorted(live))))))
-        if key not in z_cache:
-            z_cache[key] = max_min_over_simplex(live)
-        return z_cache[key]
-
-    def feasible(f: FinSet) -> bool:
-        vectors = [xs.items[i - 1] for i in f]
-        if l2:
-            return _l2_witness_feasible(vectors, eps)
-        if nonneg and disjoint:
-            # unconditional dual ball: WLOG the witness is coordinatewise
-            # nonnegative, and only the absolute functionals matter
-            cols = [[phi.dot(v) for v in vectors] for phi in abs_phis]
-            return cached_maxmin(cols) >= eps
-        for signs in itertools.product((1, -1), repeat=len(f) - 1):
-            sigma = (1,) + signs
-            cols = [
-                [s * phi.dot(v) for s, v in zip(sigma, vectors)] for phi in phis
-            ]
-            if cached_maxmin(cols) >= eps:
-                return True
-        return False
-
-    members: set[FinSet] = {()}
-    current = [()]
-    for size in range(1, n + 1):
-        nxt = []
-        for f in current:
-            start = f[-1] + 1 if f else 1
-            for x in range(start, n + 1):
-                cand = f + (x,)
-                if any(cand[:i] + cand[i + 1 :] not in members for i in range(len(cand))):
-                    continue
-                if feasible(cand):
-                    members.add(cand)
-                    nxt.append(cand)
-        if not nxt:
-            break
-        current = nxt
-    return Explicit(frozenset(members))
+    if eps <= 0:
+        raise TransferError(f"eps must be positive, got {format_fraction(eps)}")
+    scores = _SHARED_SCORES.get()
+    if scores is None or scores.xs is not xs or scores.n != n:
+        scores = _WitnessScores(xs, n)
+    return scores.family(eps)
 
 
 @dataclass
@@ -523,11 +530,12 @@ def wn_select(
 
     For k = 1..depth the infinite refinement step is replaced by a search for
     a nested index set M_k inside which every frak_{phi^k} member lies in
-    Schreier(xi); the diagonal choice M(k) in M_k yields the claimed
-    certificate (x_{M(n)}) <=_{1+eps} (g_{M(n)}) in the Schreier space,
-    verified exactly.  Failure to reach `depth` reports the level and the
-    witnessing family member, the finite trace of the l1-spreading-model
-    alternative.
+    Schreier(xi).  The levels differ only in the threshold phi^k, so their
+    `frak_f_epsilon` calls share one table of eps-free scores.  The diagonal choice
+    M(k) in M_k yields the claimed certificate (x_{M(n)}) <=_{1+eps}
+    (g_{M(n)}) in the Schreier space, verified exactly.  Failure to reach
+    `depth` reports the level and the witnessing family member, the finite
+    trace of the l1-spreading-model alternative.
     """
     eps, phi = Fraction(eps), Fraction(phi)
     if not (0 < phi < 1):
@@ -538,29 +546,28 @@ def wn_select(
     target = Schreier(xi, q)
     m_current = tuple(range(1, universe + 1))
     steps: list[SelectionStep] = []
-    level_sets: list[FinSet] = []
-    for k in range(1, depth + 1):
-        threshold = phi**k
-        fam_k = frak_f_epsilon(xs, threshold, universe, q)
-        removed: list[int] = []
-        witness: Optional[FinSet] = None
-        while True:
-            bad = None
+    # every level reads one score table; depth 0 reads none
+    token = _SHARED_SCORES.set(_WitnessScores(xs, universe) if depth > 0 else None)
+    try:
+        for k in range(1, depth + 1):
+            threshold = phi**k
+            fam_k = frak_f_epsilon(xs, threshold, universe, q)
+            removed: list[int] = []
+            witness: Optional[FinSet] = None
+            # one pass suffices: dropping an index from M_k cannot make a set
+            # that was skipped or passed fail later
             for f in sorted(fam_k.members, key=lambda t: (len(t), t)):
                 if f and set(f) <= set(m_current) and not target.member(f):
-                    bad = f
-                    break
-            if bad is None:
-                break
-            witness = bad
-            removed.append(bad[0])
-            m_current = tuple(v for v in m_current if v != bad[0])
-        steps.append(SelectionStep(k, threshold, m_current, tuple(removed), witness))
-        level_sets.append(m_current)
+                    witness = f
+                    removed.append(f[0])
+                    m_current = tuple(v for v in m_current if v != f[0])
+            steps.append(SelectionStep(k, threshold, m_current, tuple(removed), witness))
+    finally:
+        _SHARED_SCORES.reset(token)
 
     selection: list[int] = []
     for k in range(1, depth + 1):
-        pool = [v for v in level_sets[k - 1] if not selection or v > selection[-1]]
+        pool = [v for v in steps[k - 1].kept if not selection or v > selection[-1]]
         if not pool:
             wit = next(
                 (s.witness for s in reversed(steps) if s.witness is not None), None

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -185,6 +186,48 @@ class TestTransferCli:
         assert json.loads(out)["error"] == "shadow-failure"
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+class TestTransferGolden:
+    """stdout and exit code of `transfer select` and `transfer frak`, recorded
+    from the implementation that solved every eps level afresh."""
+
+    @pytest.mark.parametrize(
+        "name, argv, code",
+        [
+            (
+                "transfer_select_c0_8",
+                ["transfer", "select", "basis:C0:8", "--xi", "1", "--eps", "1/2",
+                 "--phi", "1/8", "--depth", "4"],
+                0,
+            ),
+            (
+                "transfer_select_lp2_9",
+                ["transfer", "select", "basis:LP(2):9", "--xi", "1", "--eps", "1/2",
+                 "--phi", "1/8", "--depth", "4"],
+                0,
+            ),
+            (
+                "transfer_select_l1_10",
+                ["transfer", "select", "basis:L1:10", "--xi", "1", "--eps", "1/2",
+                 "--phi", "1/8", "--depth", "6"],
+                2,
+            ),
+            (
+                "transfer_frak_c0_blocks",
+                ["transfer", "frak", "c0_signed_blocks.json", "--eps", "1/4", "--depth", "6"],
+                0,
+            ),
+        ],
+        ids=["select-c0", "select-lp2", "select-l1-shadow", "frak-c0-blocks"],
+    )
+    def test_byte_identical(self, capsys, name, argv, code):
+        argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in argv]
+        assert main(argv) == code
+        assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
+
+
 class TestDominateCli:
     def test_exact(self, capsys):
         code, out = run(capsys, "dominate", "exact", "basis:L1:2", "basis:C0:2")
@@ -270,12 +313,14 @@ class TestUsageErrors:
             ["transfer", "block", "{blocks}"],
             ["certify", "verify", "{cert}"],
             ["certify", "search"],
+            ["transfer", "frak", "basis:LP(2):2", "--eps", "-1", "--depth", "2"],
+            ["transfer", "frak", "basis:C0:3", "--eps", "0", "--depth", "3"],
         ],
         ids=[
             "unknown-command", "unknown-flag", "ignored-seed", "ignored-budget",
             "unknown-suite", "ord-add-one", "ord-fs-one", "fam-member-no-set",
             "transfer-no-inputs", "transfer-no-rho", "transfer-no-target",
-            "verify-no-rho", "search-no-rho",
+            "verify-no-rho", "search-no-rho", "frak-negative-eps", "frak-zero-eps",
         ],
     )
     def test_exit_one_with_message(self, capsys, tmp_path, argv):

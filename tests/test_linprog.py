@@ -97,6 +97,17 @@ class TestSupportFunction:
         with pytest.raises(ValueError, match="unbounded"):
             support_function([(1,), (-1,)], [1], [-1, -1])
 
+    def test_empty_polyhedron_names_the_cause(self):
+        # a1 + a2 <= 1 and -a1 - a2 <= -2 have no common point
+        rows, rhs = [(1, 1), (-1, -1), (1, 0), (0, 1)], [1, -2, 3, 3]
+        message = (
+            r"empty polyhedron: no point satisfies rows\.a <= rhs \(the dual LP is unbounded\)"
+        )
+        with pytest.raises(ValueError, match=message):
+            support_function(rows, [1, 0], rhs)
+        with pytest.raises(ValueError, match=message):
+            Polyhedron(rows, rhs).support([1, 0])
+
     @given(
         st.integers(1, 3).flatmap(
             lambda d: st.tuples(

@@ -1,17 +1,24 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
+from typing import Optional
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from domcert import transfer
 from domcert.domination import (
     Certificate,
+    DominationError,
     VectorSequence,
     basis_sequence,
     search_certificate,
     verify_certificate,
 )
-from domcert.families import Schreier, enumerate_family
-from domcert.norms import C0, Combinatorial, L1, Lp
+from domcert.families import Explicit, Schreier, enumerate_family
+from domcert.linprog import max_min_over_simplex, solve_square
+from domcert.norms import C0, Combinatorial, L1, Lp, norming_functionals
 from domcert.ordinals import OMEGA, from_int
 from domcert.transfer import (
     ShadowFailure,
@@ -231,6 +238,219 @@ class TestFrak:
         with pytest.raises(TransferError):
             frak_f_epsilon(xs, Fraction(1, 2), 3)
 
+    @pytest.mark.parametrize("eps", [Fraction(0), Fraction(-1)])
+    def test_nonpositive_eps_rejected(self, eps):
+        # at -1 the l_2 test eps^2 m <= 1 would read -1 as 1, and the family
+        # would not be monotone in eps
+        xs = VectorSequence(
+            (Vector.of({1: 1}), Vector.of({1: 1, 2: 1})), Lp(2), "corr"
+        )
+        with pytest.raises(TransferError, match="eps must be positive"):
+            frak_f_epsilon(xs, eps, 2)
+        assert frak_f_epsilon(xs, Fraction(1, 2), 2).members == {(), (1,), (2,), (1, 2)}
+
+
+# -- the per-eps algorithm, kept as a differential oracle ----------------------
+
+
+def _oracle_l2_feasible(vectors: list[Vector], eps: Fraction) -> bool:
+    """Some y with |y|_2 <= 1 has |<y, v>| >= eps for every listed v: the
+    min-norm point of each sign orthant of the witness polyhedron at eps, by
+    active-set enumeration over the Gram matrix."""
+    k = len(vectors)
+    gram = [[u.dot(v) for v in vectors] for u in vectors]
+    if all(gram[i][j] == 0 for i in range(k) for j in range(k) if i != j):
+        if any(gram[i][i] == 0 for i in range(k)):
+            return False
+        return sum((eps * eps / gram[i][i] for i in range(k)), Fraction(0)) <= 1
+    for signs in itertools.product((1, -1), repeat=k - 1):
+        sigma = (1,) + signs
+        signed = [[sigma[i] * sigma[j] * gram[i][j] for j in range(k)] for i in range(k)]
+        best: Optional[Fraction] = None
+        for size in range(1, k + 1):
+            for subset in itertools.combinations(range(k), size):
+                sub = [[signed[i][j] for j in subset] for i in subset]
+                mu = solve_square(sub, [eps] * size)
+                if mu is None or any(v < 0 for v in mu):
+                    continue
+                vals = [
+                    sum((mu[a] * signed[i][subset[a]] for a in range(size)), Fraction(0))
+                    for i in range(k)
+                ]
+                if any(v < eps for v in vals):
+                    continue
+                sq = sum((mu[a] * eps for a in range(size)), Fraction(0))
+                if best is None or sq < best:
+                    best = sq
+        if best is not None and best <= 1:
+            return True
+    return False
+
+
+def oracle_frak(xs: VectorSequence, eps: Fraction, n: int) -> Explicit:
+    """frak_eps on {1..n} decided afresh at eps: one max-min LP per candidate
+    and sign pattern (or one active-set solve for l_2), nothing memoized."""
+    items = xs.items[:n]
+    l2 = isinstance(xs.space, Lp) and xs.space.p == 2
+    if not l2:
+        support = sorted({i for v in items for i in v.support})
+        phis = norming_functionals(xs.space, tuple(support))
+        abs_phis = sorted(
+            {Vector(tuple((i, abs(c)) for i, c in phi.entries)) for phi in phis},
+            key=lambda v: v.entries,
+        )
+        nonneg = all(c >= 0 for v in items for _, c in v.entries)
+        disjoint = sum(len(v.support) for v in items) == len(support)
+
+    def z(cols):
+        live = [col for col in cols if any(col)]
+        return max_min_over_simplex(live) if live else Fraction(0)
+
+    def feasible(f):
+        vectors = [xs.items[i - 1] for i in f]
+        if l2:
+            return _oracle_l2_feasible(vectors, eps)
+        if nonneg and disjoint:
+            return z([[phi.dot(v) for v in vectors] for phi in abs_phis]) >= eps
+        return any(
+            z([[s * phi.dot(v) for s, v in zip((1,) + signs, vectors)] for phi in phis]) >= eps
+            for signs in itertools.product((1, -1), repeat=len(f) - 1)
+        )
+
+    members = {()}
+    current = [()]
+    while current:
+        current = [
+            f + (x,)
+            for f in current
+            for x in range(f[-1] + 1 if f else 1, n + 1)
+            if all(f[:i] + f[i + 1 :] + (x,) in members for i in range(len(f)))
+            and feasible(f + (x,))
+        ]
+        members.update(current)
+    return Explicit(frozenset(members))
+
+
+def _steps(steps) -> list[tuple]:
+    return [(s.k, s.threshold, s.kept, s.removed, s.witness) for s in steps]
+
+
+def oracle_selection(xs: VectorSequence, phi: Fraction, depth: int) -> tuple:
+    """The levels and diagonal choice of `wn_select` into S[1] on oracle
+    families, rescanning each family from its start after every removal."""
+    m_current = tuple(range(1, len(xs) + 1))
+    steps = []
+    for k in range(1, depth + 1):
+        members = sorted(oracle_frak(xs, phi**k, len(xs)).members, key=lambda t: (len(t), t))
+        removed, witness = [], None
+        while True:
+            bad = next(
+                (f for f in members if f and set(f) <= set(m_current) and not S1.member(f)),
+                None,
+            )
+            if bad is None:
+                break
+            witness = bad
+            removed.append(bad[0])
+            m_current = tuple(v for v in m_current if v != bad[0])
+        steps.append((k, phi**k, m_current, tuple(removed), witness))
+    selection: list[int] = []
+    for k, (*_, kept, _, _) in enumerate(steps, start=1):
+        pool = [v for v in kept if not selection or v > selection[-1]]
+        if not pool:
+            return ("shadow", k, next((s[4] for s in reversed(steps) if s[4]), None))
+        selection.append(pool[0])
+    return ("selected", steps, tuple(selection))
+
+
+SPACES = {"C0": C0(), "L1": L1(), "X[S[1]]": X1, "LP(2)": Lp(2)}
+COEFFS = [Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(2)]
+EPSILONS = [Fraction(*t) for t in [(1, 8), (1, 4), (1, 3), (1, 2), (1, 1), (3, 2)]]
+
+
+@st.composite
+def sequences(draw):
+    """Up to four vectors over {1..4}: signed or nonnegative, overlapping or
+    consecutive disjoint blocks."""
+    space = draw(st.sampled_from(sorted(SPACES)))
+    signed = draw(st.booleans())
+    blocks = draw(st.booleans())
+    coeff = st.sampled_from(COEFFS).flatmap(
+        lambda c: st.sampled_from([c, -c]) if signed else st.just(c)
+    )
+    n = draw(st.integers(1, 4))
+    if blocks:
+        cuts = sorted(draw(st.sets(st.integers(1, 3), min_size=n - 1, max_size=n - 1)))
+        supports = [range(a + 1, b + 1) for a, b in zip([0, *cuts], [*cuts, 4])]
+    else:
+        supports = [draw(st.sets(st.integers(1, 4), min_size=1)) for _ in range(n)]
+    vectors = tuple(Vector.of({i: draw(coeff) for i in sorted(s)}) for s in supports)
+    return VectorSequence(vectors, SPACES[space], "drawn")
+
+
+def _l2_pair(scale: Fraction) -> VectorSequence:
+    # x1 alone is witnessed by a multiple of x1, which meets <y, x2> >= eps
+    # only halfway: the active set {x1} is primal infeasible for the pair
+    x1 = Vector.of({1: scale})
+    x2 = Vector.of({1: scale / 2, 2: scale})
+    return VectorSequence((x1, x2), Lp(2), "l2-pair")
+
+
+def _l2_triple() -> VectorSequence:
+    # for {1, 2, 3} under the signs (1, 1, 1) the full active set is
+    # singular, and {1, 2}, tried next, has nonnegative multipliers but its
+    # projection misses the constraint of x3: the primal check must reject it
+    x1 = Vector.of({1: Fraction(1, 4), 2: Fraction(1, 2)})
+    x2 = Vector.of({1: Fraction(1, 2), 2: Fraction(-1, 2)})
+    return VectorSequence((x1, x2, Vector.of({1: Fraction(-1)})), Lp(2), "l2-triple")
+
+
+class TestFrakDifferential:
+    @settings(max_examples=80, deadline=None)
+    @given(sequences(), st.lists(st.sampled_from(EPSILONS), min_size=1, max_size=3))
+    @example(_l2_pair(Fraction(1)), [Fraction(1)])
+    @example(_l2_pair(Fraction(1, 2)), [Fraction(1, 2)])
+    @example(_l2_triple(), [Fraction(1, 2)])
+    def test_equals_per_eps_oracle(self, xs, epsilons):
+        for eps in epsilons:
+            assert frak_f_epsilon(xs, eps, len(xs)) == oracle_frak(xs, eps, len(xs))
+
+    @settings(max_examples=20, deadline=None)
+    @given(sequences())
+    def test_every_selection_level_equals_a_fresh_run(self, xs):
+        phi = Fraction(1, 4)
+        seen = []
+        frak = transfer.frak_f_epsilon
+
+        def recording(xs, eps, n, q):
+            fam = frak(xs, eps, n, q)
+            seen.append((eps, fam))
+            return fam
+
+        with mock.patch.object(transfer, "frak_f_epsilon", recording):
+            try:
+                trace, _ = wn_select(xs, from_int(1), Fraction(1), phi, 3)
+                outcome = ("selected", _steps(trace.steps), trace.M)
+            except ShadowFailure as exc:
+                outcome = ("shadow", exc.k, exc.witness)
+            except (TransferError, DominationError):
+                # the selection failed its exact check, or the space cannot
+                # check it (overlapping l_2 vectors)
+                outcome = None
+        assert [eps for eps, _ in seen] == [phi, phi**2, phi**3]
+        for eps, fam in seen:
+            assert fam == oracle_frak(xs, eps, len(xs))
+        if outcome is not None:
+            assert outcome == oracle_selection(xs, phi, 3)
+
+    def test_second_sign_pattern(self):
+        # e1 and -e1 in c0 are witnessed at 1 by e1 with the signs (1, -1)
+        # only: under the pattern (1, 1) the max-min value is 0
+        xs = VectorSequence((Vector.of({1: 1}), Vector.of({1: -1})), C0(), "pair")
+        assert transfer._WitnessScores(xs, 2)._max_min((1, 2), (1, 1)) == 0
+        assert (1, 2) in oracle_frak(xs, Fraction(1), 2).members
+        assert oracle_frak(xs, Fraction(1), 2) == frak_f_epsilon(xs, Fraction(1), 2)
+
 
 class TestWnSelect:
     def test_l2_sparse_selection(self):
@@ -256,6 +476,43 @@ class TestWnSelect:
         xs = basis_sequence(C0(), 8)
         with pytest.raises(TransferError):
             wn_select(xs, from_int(1), Fraction(1, 2), Fraction(1, 2), 4)
+
+    def test_one_score_table_serves_every_level(self, monkeypatch):
+        # each level reads the table built once; a later change that rebuilt
+        # it per level would enumerate the functionals and solve the max-min
+        # LPs again at every phi^k
+        calls = Counter()
+        for name in ("frak_f_epsilon", "norming_functionals", "max_min_over_simplex"):
+            original = getattr(transfer, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(transfer, name, counted)
+        xs = basis_sequence(C0(), 8)
+        wn_select(xs, from_int(1), Fraction(1, 2), Fraction(1, 8), 4)
+        selected = dict(calls)
+        calls.clear()
+        frak_f_epsilon(xs, Fraction(1, 8) ** 4, 8)
+        # one frak_f_epsilon call per level, each reading the shared table
+        assert selected["frak_f_epsilon"] == 4
+        assert selected["norming_functionals"] == 1
+        assert selected["max_min_over_simplex"] == calls["max_min_over_simplex"] > 0
+
+    def test_shared_table_lasts_one_call(self):
+        with pytest.raises(ShadowFailure):
+            wn_select(basis_sequence(L1(), 10), from_int(1), Fraction(1, 2), Fraction(1, 8), 6)
+        assert transfer._SHARED_SCORES.get() is None
+        xs = basis_sequence(C0(), 8)
+        wn_select(xs, from_int(1), Fraction(1, 2), Fraction(1, 8), 4)
+        assert transfer._SHARED_SCORES.get() is None
+        # a call on another prefix inside the span builds its own table
+        token = transfer._SHARED_SCORES.set(transfer._WitnessScores(xs, 8))
+        try:
+            assert frak_f_epsilon(xs, Fraction(1), 3) == oracle_frak(xs, Fraction(1), 3)
+        finally:
+            transfer._SHARED_SCORES.reset(token)
 
 
 class TestCombinatorProperties:
