@@ -7,8 +7,9 @@ depth, self-domination instances pin 1, and the level-0 family is free.
 """
 
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from domcert.domination import basis_sequence, gamma_bracket
 from domcert.families import Schreier

@@ -11,8 +11,9 @@ bound.  Purely illustrative; nothing in the acceptance suite depends on it.
 
 import sys
 from fractions import Fraction
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from domcert.domination import VectorSequence, gamma_bracket
 from domcert.norms import C0, L1

@@ -372,7 +372,7 @@ def cmd_transfer(args) -> int:
             _emit(cert.to_json(), args)
         elif args.action == "frak":
             xs = _load_sequence(args.inputs[0], q)
-            fam = frak_f_epsilon(xs, parse_fraction(args.eps), int(args.depth), q)
+            fam = frak_f_epsilon(xs, parse_fraction(args.eps), int(args.depth))
             _emit(
                 [list(f) for f in sorted(fam.members, key=lambda t: (len(t), t))], args
             )

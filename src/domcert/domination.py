@@ -32,6 +32,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .families import (
+    DEFAULT_MEMBER_BUDGET,
     AllFinite,
     Family,
     FinSet,
@@ -42,6 +43,8 @@ from .families import (
     enumerate_family,
     is_spread_of,
     maximal_members,
+    members_by_max,
+    members_within,
 )
 from .linprog import Polyhedron, nullspace, solve_square, support_function
 from .norms import (
@@ -55,7 +58,7 @@ from .norms import (
     parse_space,
 )
 from .ordinals import Ordinal, format_ordinal, parse_ordinal
-from .rationals import Mag, MAG_INF, MAG_ONE, MAG_ZERO, format_fraction, parse_fraction
+from .rationals import Mag, MAG_INF, MAG_ZERO, format_fraction, parse_fraction
 from .vectors import Vector, combine
 
 
@@ -86,9 +89,6 @@ class VectorSequence:
     def subsequence(self, indices: FinSet) -> "VectorSequence":
         vecs = tuple(self.items[i - 1] for i in indices)
         return VectorSequence(vecs, self.space, self.name)
-
-    def all_normalized(self) -> bool:
-        return all(norm(self.space, v) == MAG_ONE for v in self.items)
 
     def to_json(self) -> dict:
         return {
@@ -410,15 +410,11 @@ def right_dominance_defect(
     if engine == "auto" and isinstance(space, Combinatorial):
         fam = space.fam
         positions = {v: i for i, v in enumerate(m)}
-        pulled_back_ok = True
-        for f in enumerate_family(fam, m[-1]):
-            if not f or not set(f) <= set(m):
-                continue
-            image = tuple(l[positions[v]] for v in f)
-            if not fam.member(image):
-                pulled_back_ok = False
-                break
-        if pulled_back_ok:
+        if all(
+            fam.member(tuple(l[positions[v]] for v in f))
+            for f in members_within(fam, m, DEFAULT_MEMBER_BUDGET)
+            if f
+        ):
             constant = Mag.of(Fraction(1))
             ok = constant <= Mag.of(Fraction(r))
             witness = tuple(
@@ -609,11 +605,7 @@ def search_certificate(
         raise DominationError("rho prefix shorter than requested depth")
     l_cap = l_max if l_max is not None else max(len(rho), depth)
     fam = AllFinite() if xi is None else FineSchreier(xi, q)
-    members = enumerate_family(fam, depth)
-    by_max: dict[int, list[FinSet]] = {k: [] for k in range(1, depth + 1)}
-    for f in members:
-        if f:
-            by_max[f[-1]].append(f)
+    by_max = members_by_max(enumerate_family(fam, depth), depth)
     m_pool = list(range(1, len(rho) + 1))
     if constraint is not None:
         allowed = set(constraint)

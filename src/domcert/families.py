@@ -23,6 +23,7 @@ where the integer schedule q_n is configurable (default q_n = n).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Callable, Iterable, Optional
@@ -80,13 +81,6 @@ class QSchedule:
             return self.prefix[n - 1]
         return self.slope * n + self.offset
 
-    def describe(self) -> str:
-        if not self.prefix and self.slope == 1 and self.offset == 0:
-            return "q_n=n"
-        head = ",".join(str(v) for v in self.prefix)
-        tail = f"{self.slope}n+{self.offset}" if self.offset else f"{self.slope}n"
-        return f"q=[{head};{tail}]" if head else f"q_n={tail}"
-
 
 Q_DEFAULT = QSchedule()
 
@@ -102,9 +96,6 @@ class Family:
 
     def _member(self, f: FinSet) -> bool:
         raise NotImplementedError
-
-    def describe(self) -> str:
-        return format_family(self)
 
     def __str__(self) -> str:
         return format_family(self)
@@ -243,48 +234,68 @@ DEFAULT_ENUM_BOUND = 20
 DEFAULT_MEMBER_BUDGET = 500_000
 
 
+def _size_lex(f: FinSet) -> tuple[int, FinSet]:
+    return len(f), f
+
+
+def members_within(
+    fam: Family, universe: FinSet, member_budget: float = math.inf
+) -> list[FinSet]:
+    """Members of fam made of points of the increasing tuple `universe`.
+
+    Hereditary families are prefix closed when viewed as increasing
+    sequences, so a depth-first extension search with one membership test
+    per candidate finds exactly the members, () first and each member before
+    its extensions.  Explicit literals are filtered in (size, lexicographic)
+    order.  More than `member_budget` membership tests raise BudgetError.
+    """
+    if isinstance(fam, Explicit):
+        pool = set(universe)
+        return [f for f in sorted(fam.members, key=_size_lex) if all(x in pool for x in f)]
+    out: list[FinSet] = [()]
+    tests = 0
+
+    def extend(prefix: FinSet, start: int) -> None:
+        nonlocal tests
+        for k in range(start, len(universe)):
+            cand = prefix + (universe[k],)
+            tests += 1
+            if tests > member_budget:
+                raise BudgetError("member budget exhausted during enumeration")
+            if fam.member(cand):
+                out.append(cand)
+                extend(cand, k + 1)
+
+    extend((), 0)
+    return out
+
+
 def enumerate_family(
     fam: Family,
     n: int,
     bound: int = DEFAULT_ENUM_BOUND,
     member_budget: int = DEFAULT_MEMBER_BUDGET,
 ) -> list[FinSet]:
-    """All members contained in {1..n}, sorted by (size, lexicographic order).
-
-    Hereditary families are prefix closed when viewed as increasing
-    sequences, so a depth-first extension search with a membership test at
-    every prefix enumerates exactly the members.  Explicit families are
-    enumerated literally.
-    """
+    """All members contained in {1..n}, sorted by (size, lexicographic order)."""
     if n < 1 or n > bound:
         raise BudgetError(f"enumeration universe must satisfy 1 <= N <= {bound}")
-    if isinstance(fam, Explicit):
-        found = [f for f in fam.members if not f or f[-1] <= n]
-        return sorted(found, key=lambda t: (len(t), t))
-    out: list[FinSet] = [()]
-    budget = member_budget
+    return sorted(members_within(fam, tuple(range(1, n + 1)), member_budget), key=_size_lex)
 
-    def extend(prefix: FinSet) -> None:
-        nonlocal budget
-        start = prefix[-1] + 1 if prefix else 1
-        for x in range(start, n + 1):
-            cand = prefix + (x,)
-            budget -= 1
-            if budget < 0:
-                raise BudgetError("member budget exhausted during enumeration")
-            if fam.member(cand):
-                out.append(cand)
-                extend(cand)
 
-    extend(())
-    return sorted(out, key=lambda t: (len(t), t))
+def members_by_max(members: Iterable[FinSet], n: int) -> dict[int, list[FinSet]]:
+    """The nonempty members grouped by their largest element, for 1..n."""
+    by_max: dict[int, list[FinSet]] = {k: [] for k in range(1, n + 1)}
+    for f in members:
+        if f:
+            by_max[f[-1]].append(f)
+    return by_max
 
 
 def maximal_members(fam: Family, n: int) -> list[FinSet]:
     """Members within {1..n} that are not proper subsets of another member."""
     members = set(enumerate_family(fam, n))
     out = [f for f in members if not any(set(f) < set(g) for g in members)]
-    return sorted(out, key=lambda t: (len(t), t))
+    return sorted(out, key=_size_lex)
 
 
 @dataclass(frozen=True)
@@ -324,25 +335,12 @@ def check_regular(fam: Family, n: int) -> RegularityReport:
 
 
 def rank_restricted(fam: Family, n: int) -> int:
-    """Rank of the tree fam | {1..n}: iterate T' = T minus its maximal nodes.
-
-    Non-hereditary literals are completed to their prefix closure first so
-    that the sequence identification applies.
+    """Rank of the tree fam | {1..n}, the members viewed as increasing
+    sequences under extension.  Each derivation T' = T minus its maximal
+    nodes removes exactly the leaves of the prefix closure, so the rank is
+    one more than the longest member, and 0 for an empty literal.
     """
-    tree = set(enumerate_family(fam, n))
-    for f in list(tree):
-        for i in range(len(f)):
-            tree.add(f[:i])
-    steps = 0
-    while tree:
-        maximal = {
-            t
-            for t in tree
-            if not any(t + (x,) in tree for x in range(t[-1] + 1 if t else 1, n + 1))
-        }
-        tree -= maximal
-        steps += 1
-    return steps
+    return max((len(f) + 1 for f in enumerate_family(fam, n)), default=0)
 
 
 def almost_monotone_witness(
@@ -389,10 +387,7 @@ def find_order_embedding(
     """
     cap = cap if cap is not None else 3 * n
     members = enumerate_family(src, n)
-    by_max: dict[int, list[FinSet]] = {k: [] for k in range(1, n + 1)}
-    for f in members:
-        if f:
-            by_max[f[-1]].append(f)
+    by_max = members_by_max(members, n)
     mapping: list[int] = []
     nodes = 0
 

@@ -31,6 +31,7 @@ from .families import (
     Q_DEFAULT,
     Schreier,
     format_family,
+    members_within,
     parse_family,
 )
 from .ordinals import Ordinal, format_ordinal, parse_ordinal
@@ -103,36 +104,10 @@ class Lp(SpaceSpec):
             raise SpaceError("Lp needs an integer p >= 1")
 
 
-def _family_sets_within(fam: Family, support: FinSet):
-    """Members of fam consisting of support points.
-
-    Hereditary families are prefix closed, so extension search with pruning
-    is exact; explicit literals are filtered directly.
-    """
-    from .families import Explicit
-
-    if isinstance(fam, Explicit):
-        pool = set(support)
-        for f in sorted(fam.members, key=lambda t: (len(t), t)):
-            if all(x in pool for x in f):
-                yield f
-        return
-    yield ()
-
-    def extend(prefix: FinSet, rest: FinSet):
-        for k, x in enumerate(rest):
-            cand = prefix + (x,)
-            if fam.member(cand):
-                yield cand
-                yield from extend(cand, rest[k + 1 :])
-
-    yield from extend((), support)
-
-
 def _combinatorial_norm(fam: Family, x: Vector) -> Fraction:
     coeffs = dict(x.entries)
     best = Fraction(0)
-    for f in _family_sets_within(fam, x.support):
+    for f in members_within(fam, x.support):
         mass = sum((abs(coeffs[i]) for i in f), Fraction(0))
         if mass > best:
             best = mass
@@ -370,7 +345,7 @@ def norming_functionals(space: SpaceSpec, support: FinSet) -> list[Vector]:
         _check_singletons(space.fam, support)
         ones = {i: Fraction(1) for i in support}
         out = [Vector()]
-        for f in _family_sets_within(space.fam, support):
+        for f in members_within(space.fam, support):
             if f:
                 out.extend(_signed_variants(f, ones))
         return out

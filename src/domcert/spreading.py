@@ -63,13 +63,6 @@ class SubseqSpec:
             return self.prefix[-1] + self.step * k
         raise SpreadingError(f"unknown subsequence kind {self.kind!r}")
 
-    def describe(self) -> str:
-        if self.kind == "identity":
-            return "identity"
-        if self.kind == "affine":
-            return f"affine({self.start},{self.step})"
-        return f"explicit({','.join(map(str, self.prefix))};+{self.step})"
-
     @staticmethod
     def parse(text: str) -> "SubseqSpec":
         text = text.strip()

@@ -453,12 +453,7 @@ class _WitnessScores:
 _SHARED_SCORES: ContextVar[Optional[_WitnessScores]] = ContextVar("shared_scores", default=None)
 
 
-def frak_f_epsilon(
-    xs: VectorSequence,
-    eps: Fraction,
-    n: int,
-    q: QSchedule = Q_DEFAULT,
-) -> Explicit:
+def frak_f_epsilon(xs: VectorSequence, eps: Fraction, n: int) -> Explicit:
     """The restriction to {1..n} of the family of index sets F admitting one
     dual-ball element x* with |x*(x_i)| >= eps > 0 for every i in F: one
     hereditary sweep of a witness-score table, fresh unless a `wn_select`
@@ -551,7 +546,7 @@ def wn_select(
     try:
         for k in range(1, depth + 1):
             threshold = phi**k
-            fam_k = frak_f_epsilon(xs, threshold, universe, q)
+            fam_k = frak_f_epsilon(xs, threshold, universe)
             removed: list[int] = []
             witness: Optional[FinSet] = None
             # one pass suffices: dropping an index from M_k cannot make a set
@@ -586,6 +581,14 @@ def wn_select(
         raise TransferError("selection arithmetic violates the claimed constant")
 
     m_sel = as_finset(selection)
+    if isinstance(xs.space, Lp) and xs.space.p >= 2:
+        # the exact check of an l_p left side splits the norm over supports
+        for i, j in itertools.combinations(m_sel, 2):
+            if set(xs.items[i - 1].support) & set(xs.items[j - 1].support):
+                raise TransferError(
+                    f"selected vectors {i} and {j} have overlapping supports; "
+                    f"{format_space(xs.space)} needs pairwise disjoint ones"
+                )
     trace = SelectionTrace(m_sel, phi, tuple(steps), partial, total)
     g_space = Combinatorial(Schreier(xi, q))
     cert = Certificate(None, m_sel, m_sel, 1 + eps, g_space, xs.name)

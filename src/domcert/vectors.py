@@ -49,13 +49,6 @@ class Vector:
                 return c
         return Fraction(0)
 
-    def restrict(self, indices) -> "Vector":
-        keep = set(indices)
-        return Vector(tuple((i, c) for i, c in self.entries if i in keep))
-
-    def restrict_interval(self, lo: int, hi: int) -> "Vector":
-        return Vector(tuple((i, c) for i, c in self.entries if lo <= i <= hi))
-
     def scale(self, factor: Fraction) -> "Vector":
         factor = Fraction(factor)
         if factor == 0:

@@ -303,6 +303,12 @@ class TestRightDominance:
         with pytest.raises(DominationError):
             right_dominance_defect(X1, (2, 3), (1, 3), Fraction(1))
 
+    def test_pull_back_walks_only_the_members_inside_m(self):
+        # indices above the enumeration bound of 20 need no enumeration of
+        # {1..22}: the members inside m are (21,), (22,) and (21, 22)
+        rep = right_dominance_defect(X1, (21, 22), (23, 25), Fraction(1))
+        assert rep.ok and rep.constant == 1
+
     def test_engines_agree(self):
         for m, l in [((1, 2), (2, 4)), ((2, 3), (3, 5)), ((1, 2, 3), (2, 3, 4))]:
             auto = right_dominance_defect(X1, m, l, Fraction(1), engine="auto")

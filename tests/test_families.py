@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from domcert.families import (
     AllFinite,
+    BudgetError,
     Explicit,
     FamilyError,
     FineSchreier,
@@ -18,6 +19,7 @@ from domcert.families import (
     find_order_embedding,
     is_spread_of,
     maximal_members,
+    members_within,
     parse_family,
     rank_restricted,
 )
@@ -77,8 +79,6 @@ class TestEnumerate:
         assert enumerate_family(FineSchreier(from_int(0)), 5) == [()]
 
     def test_bound(self):
-        from domcert.families import BudgetError
-
         with pytest.raises(BudgetError):
             enumerate_family(S1, 25)
 
@@ -90,6 +90,61 @@ class TestEnumerate:
 
     def test_maximal_members(self):
         assert maximal_members(S1, 4) == [(1,), (2, 3), (2, 4), (3, 4)]
+
+
+universes = st.lists(st.integers(1, 12), unique=True, max_size=12).map(
+    lambda xs: tuple(sorted(xs))
+)
+literals = st.frozensets(
+    st.lists(st.integers(1, 12), unique=True, max_size=4).map(lambda xs: tuple(sorted(xs))),
+    max_size=12,
+)
+WALKED = [
+    "F[0]", "F[1]", "F[2]", "F[3]", "F[w]", "S[0]", "S[1]", "S[2]", "SUM(1;2)",
+    "NFOLD(S[0];2)", "NFOLD(F[1];3)", "RESTRICT(S[1];1,3,4,6,7,9,10,12)",
+]
+
+
+def brute_members(fam, universe):
+    """Every subset of the universe that fam accepts, by a filter."""
+    return {
+        f
+        for r in range(len(universe) + 1)
+        for f in itertools.combinations(universe, r)
+        if fam.member(f)
+    }
+
+
+class TestWalk:
+    @pytest.mark.parametrize("text", WALKED)
+    @given(universe=universes)
+    @settings(max_examples=15, deadline=None)
+    def test_matches_brute_filter_in_dfs_order(self, text, universe):
+        fam = parse_family(text)
+        walked = members_within(fam, universe)
+        # depth first with increasing extensions is lexicographic tuple order,
+        # in which a prefix precedes its extensions
+        assert walked == sorted(brute_members(fam, universe))
+        # one membership test per extension of a member by a later point
+        tests = sum(len([u for u in universe if not f or u > f[-1]]) for f in walked)
+        assert members_within(fam, universe, tests) == walked
+        if tests:
+            with pytest.raises(BudgetError):
+                members_within(fam, universe, tests - 1)
+
+    @given(literals, universes)
+    @settings(max_examples=60, deadline=None)
+    def test_explicit_filtered_in_size_lex_order(self, members, universe):
+        fam = Explicit(members)
+        expected = sorted(brute_members(fam, universe), key=lambda t: (len(t), t))
+        assert members_within(fam, universe, 0) == expected
+
+    @given(literals, st.integers(1, 12))
+    @settings(max_examples=40, deadline=None)
+    def test_enumerate_is_the_sorted_walk_over_1_to_n(self, members, n):
+        for fam in (Explicit(members), S1, parse_family("NFOLD(F[1];2)")):
+            expected = brute_members(fam, tuple(range(1, n + 1)))
+            assert enumerate_family(fam, n) == sorted(expected, key=lambda t: (len(t), t))
 
 
 class TestSpread:
@@ -149,6 +204,52 @@ class TestRank:
         for n in range(2, 9):
             members = enumerate_family(S1, n)
             assert rank_restricted(S1, n) == max(len(f) for f in members) + 1
+
+
+def peeled_rank(fam, n):
+    """Rank of fam | {1..n} by derivation: complete the members to their
+    prefix closure, then remove the maximal nodes until nothing is left."""
+    tree = set(enumerate_family(fam, n))
+    for f in list(tree):
+        for i in range(len(f)):
+            tree.add(f[:i])
+    steps = 0
+    while tree:
+        maximal = {
+            t
+            for t in tree
+            if not any(t + (x,) in tree for x in range(t[-1] + 1 if t else 1, n + 1))
+        }
+        tree -= maximal
+        steps += 1
+    return steps
+
+
+class TestRankOracle:
+    @pytest.mark.parametrize("text", WALKED + ["ALL"])
+    def test_named_families(self, text):
+        for n in (1, 4, 8):
+            assert rank_restricted(parse_family(text), n) == peeled_rank(parse_family(text), n)
+
+    # literals reach above n, need not hold () or be hereditary, and may be empty
+    @given(
+        st.frozensets(
+            st.lists(st.integers(1, 14), unique=True, max_size=5).map(
+                lambda xs: tuple(sorted(xs))
+            ),
+            max_size=8,
+        ),
+        st.integers(1, 10),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_explicit_literals(self, members, n):
+        fam = Explicit(members)
+        assert rank_restricted(fam, n) == peeled_rank(fam, n)
+
+    def test_edge_literals(self):
+        assert rank_restricted(Explicit(frozenset()), 5) == 0
+        assert rank_restricted(Explicit(frozenset({(3, 9)})), 5) == 0
+        assert rank_restricted(Explicit(frozenset({(1, 2, 4)})), 5) == 4
 
 
 class TestAlmostMonotone:

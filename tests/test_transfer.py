@@ -10,7 +10,6 @@ from hypothesis import example, given, settings, strategies as st
 from domcert import transfer
 from domcert.domination import (
     Certificate,
-    DominationError,
     VectorSequence,
     basis_sequence,
     search_certificate,
@@ -422,8 +421,8 @@ class TestFrakDifferential:
         seen = []
         frak = transfer.frak_f_epsilon
 
-        def recording(xs, eps, n, q):
-            fam = frak(xs, eps, n, q)
+        def recording(xs, eps, n):
+            fam = frak(xs, eps, n)
             seen.append((eps, fam))
             return fam
 
@@ -433,9 +432,9 @@ class TestFrakDifferential:
                 outcome = ("selected", _steps(trace.steps), trace.M)
             except ShadowFailure as exc:
                 outcome = ("shadow", exc.k, exc.witness)
-            except (TransferError, DominationError):
-                # the selection failed its exact check, or the space cannot
-                # check it (overlapping l_2 vectors)
+            except TransferError:
+                # the selection failed its exact check, or it keeps two
+                # overlapping l_2 vectors, which the exact check cannot take
                 outcome = None
         assert [eps for eps, _ in seen] == [phi, phi**2, phi**3]
         for eps, fam in seen:
@@ -471,6 +470,21 @@ class TestWnSelect:
         xs = basis_sequence(C0(), 12)
         trace, cert = wn_select(xs, from_int(1), Fraction(1, 2), Fraction(1, 8), 6)
         assert cert.verified
+
+    def test_overlapping_l2_selection_names_the_pair(self):
+        quarter = Fraction(1, 4)
+        xs = VectorSequence(
+            tuple(Vector.of(v) for v in ({2: quarter}, {1: quarter}, {1: quarter})), Lp(2)
+        )
+        with pytest.raises(TransferError, match="selected vectors 2 and 3 have overlapping"):
+            wn_select(xs, from_int(1), Fraction(1, 2), Fraction(1, 8), 2)
+
+    def test_disjoint_l2_selection_of_overlapping_input(self):
+        xs = VectorSequence(
+            tuple(Vector.of(v) for v in ({1: 1}, {2: 1}, {1: 1, 3: 1})), Lp(2)
+        )
+        trace, cert = wn_select(xs, from_int(1), Fraction(1, 2), Fraction(1, 8), 2)
+        assert trace.M == (2, 3) and cert.verified
 
     def test_phi_precondition(self):
         xs = basis_sequence(C0(), 8)

@@ -35,11 +35,6 @@ class TestVector:
     def test_sub_self_is_zero(self, x):
         assert (x - x).is_zero
 
-    def test_restrict(self):
-        v = Vector.of({1: 1, 3: 2, 5: 3})
-        assert v.restrict({3, 5}).support == (3, 5)
-        assert v.restrict_interval(2, 4).support == (3,)
-
     def test_dot(self):
         u = Vector.of({1: 2, 2: 3})
         v = Vector.of({2: 5, 3: 7})
