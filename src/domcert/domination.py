@@ -50,6 +50,7 @@ from .linprog import Polyhedron, nullspace, solve_square, support_function
 from .norms import (
     Combinatorial,
     SpaceSpec,
+    absolute_functionals,
     format_space,
     is_polyhedral,
     norm,
@@ -152,16 +153,14 @@ def _nonneg_disjoint(seq: VectorSequence) -> bool:
 
 
 def _unsigned_rows(space: SpaceSpec, vectors: tuple[Vector, ...]) -> list[tuple[Fraction, ...]]:
-    """Absolute functional rows, pruned of pointwise-dominated ones; on the
-    positive orthant these carry the whole norm for disjoint nonnegative
-    vectors in a 1-unconditional space."""
+    """Rows (phi(v) for v in vectors) over the absolute functionals phi, pruned
+    of pointwise-dominated ones: on the positive orthant they carry the whole
+    norm of disjoint nonnegative vectors in a 1-unconditional space.  Rows enter
+    the set in first-occurrence order, so the LP row order is fixed."""
     support = sorted({i for v in vectors for i in v.support})
     rows: set[tuple[Fraction, ...]] = set()
-    for phi in norming_functionals(space, tuple(support)):
-        row = tuple(
-            sum((abs(c) * v.coeff(i) for i, c in phi.entries), Fraction(0))
-            for v in vectors
-        )
+    for phi in absolute_functionals(space, tuple(support)):
+        row = tuple(phi.dot(v) for v in vectors)
         if any(row):
             rows.add(row)
     return [r for r in rows if not _dominated_row(r, rows)]

@@ -172,6 +172,12 @@ class Restrict(Family):
 class Explicit(Family):
     members: frozenset = field(default_factory=frozenset)
 
+    def __post_init__(self) -> None:
+        for f in self.members:
+            if not isinstance(f, tuple) or not all(type(x) is int for x in f):
+                raise FamilyError(f"member {f!r} is not a tuple of integers")
+            as_finset(f)
+
     def member(self, f: FinSet) -> bool:  # literal: the empty set is not implied
         return as_finset(f) in self.members
 

@@ -276,9 +276,13 @@ def is_polyhedral(space: SpaceSpec) -> bool:
     )
 
 
-def _signed_variants(f: FinSet, coeffs: dict[int, Fraction]):
-    for signs in itertools.product((1, -1), repeat=len(f)):
-        yield Vector.of({i: s * coeffs[i] for i, s in zip(f, signs)})
+def _signed_variants(phi: Vector):
+    for signs in itertools.product((1, -1), repeat=len(phi.entries)):
+        yield Vector(tuple((i, s * c) for (i, c), s in zip(phi.entries, signs)))
+
+
+def _indicator(f: FinSet) -> Vector:
+    return Vector(tuple((i, Fraction(1)) for i in f))
 
 
 def _tsirelson_abs_functionals(
@@ -328,34 +332,27 @@ def _tsirelson_abs_functionals(
     return sorted(kept, key=lambda v: (len(v.entries), v.entries))
 
 
-def norming_functionals(space: SpaceSpec, support: FinSet) -> list[Vector]:
-    """A finite set Phi with norm(x) = max over Phi of |phi(x)| for every x
-    supported in `support`; the symmetric hull of Phi is the dual ball there.
-    """
+def absolute_functionals(space: SpaceSpec, support: FinSet) -> list[Vector]:
+    """The distinct |phi| over `norming_functionals(space, support)`, in the
+    order they first occur there; each stands for its sign patterns."""
     support = tuple(support)
     if isinstance(space, C0):
-        out = [Vector.basis(i, s) for i in support for s in (1, -1)]
-        return out
+        return [Vector.basis(i) for i in support]
     if isinstance(space, L1) or (isinstance(space, Lp) and space.p == 1):
-        out = []
-        for signs in itertools.product((1, -1), repeat=len(support)):
-            out.append(Vector.of({i: s for i, s in zip(support, signs)}))
-        return out
+        return [_indicator(support)]
     if isinstance(space, Combinatorial):
         _check_singletons(space.fam, support)
-        ones = {i: Fraction(1) for i in support}
-        out = [Vector()]
-        for f in members_within(space.fam, support):
-            if f:
-                out.extend(_signed_variants(f, ones))
-        return out
+        return [Vector()] + [_indicator(f) for f in members_within(space.fam, support) if f]
     if isinstance(space, Tsirelson):
-        out = []
-        for base in _tsirelson_abs_functionals(space, support):
-            coeffs = dict(base.entries)
-            out.extend(_signed_variants(base.support, coeffs))
-        return out
+        return _tsirelson_abs_functionals(space, support)
     raise SpaceError(f"{format_space(space)} is not polyhedral")
+
+
+def norming_functionals(space: SpaceSpec, support: FinSet) -> list[Vector]:
+    """A finite set Phi with norm(x) = max over Phi of |phi(x)| for every x
+    supported in `support`: every sign pattern of each absolute functional.
+    The symmetric hull of Phi is the dual ball there."""
+    return [s for phi in absolute_functionals(space, support) for s in _signed_variants(phi)]
 
 
 def parse_space(text: str, q: QSchedule = Q_DEFAULT) -> SpaceSpec:

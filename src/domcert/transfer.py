@@ -49,6 +49,7 @@ from .linprog import max_min_over_simplex, solve_square
 from .norms import (
     Combinatorial,
     Lp,
+    absolute_functionals,
     format_space,
     is_polyhedral,
     norm,
@@ -360,12 +361,11 @@ class _WitnessScores:
             raise TransferError(f"{format_space(xs.space)} has no finite dual description")
         else:
             support = tuple(sorted({i for v in vectors for i in v.support}))
-            phis = norming_functionals(xs.space, support)
-            if self.unconditional:
-                phis = sorted(
-                    {Vector(tuple((i, abs(c)) for i, c in phi.entries)) for phi in phis},
-                    key=lambda v: v.entries,
-                )
+            phis = (
+                sorted(absolute_functionals(xs.space, support), key=lambda v: v.entries)
+                if self.unconditional
+                else norming_functionals(xs.space, support)
+            )
             self.table = [[phi.dot(v) for v in vectors] for phi in phis]
         # both scores are positively homogeneous of degree 1 in the table, so
         # it is kept in integers over one denominator and the thresholds scaled

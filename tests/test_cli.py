@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -338,6 +341,16 @@ class TestDeterminism:
         code, out = run(capsys, "acceptance", "--list")
         assert code == 0
         assert "families" in json.loads(out)
+
+    def test_module_entry_point(self, capsys, tmp_path):
+        # python -m domcert, run away from the checkout, prints what main does
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "domcert", "acceptance", "--list"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert main(["acceptance", "--list"]) == proc.returncode == 0
+        assert proc.stdout == capsys.readouterr().out
 
     def test_seeded_outputs_identical(self, capsys):
         code1, out1 = run(

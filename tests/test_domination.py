@@ -21,11 +21,12 @@ from domcert.domination import (
     _nonneg_disjoint,
     _orthant_system,
     _support_function_nonneg,
+    _dominated_row,
     _unsigned_rows,
 )
 from domcert.families import Schreier
 from domcert.linprog import Polyhedron, solve_square, support_function
-from domcert.norms import C0, Combinatorial, L1, Lp, norm
+from domcert.norms import C0, Combinatorial, L1, Lp, norm, norming_functionals, parse_space
 from domcert.ordinals import from_int
 from domcert.rationals import MAG_INF, Mag
 from domcert.vectors import Vector, combine
@@ -239,6 +240,41 @@ class TestCachedBases:
         res = domination_constant_exact(xs, ys)
         assert (res.value, res.witness) == fresh_argmax(xs, ys)
         assert res.witness == (1, 0, 0, 1)
+
+
+def oracle_unsigned_rows(space, vectors):
+    """The orthant rows as they stood before the absolute functionals: every
+    signed norming functional, read through |phi| coefficient by coefficient."""
+    support = sorted({i for v in vectors for i in v.support})
+    rows = set()
+    for phi in norming_functionals(space, tuple(support)):
+        row = tuple(
+            sum((abs(c) * v.coeff(i) for i, c in phi.entries), Fraction(0)) for v in vectors
+        )
+        if any(row):
+            rows.add(row)
+    return [r for r in rows if not _dominated_row(r, rows)]
+
+
+class TestUnsignedRows:
+    @pytest.mark.parametrize(
+        "text", ["C0", "L1", "X[S[1]]", "X[S[2]]", "X[ALL]", "X[NFOLD(S[1];2)]", "TSIRELSON(1;1/2)"]
+    )
+    def test_matches_signed_oracle(self, text):
+        # same rows in the same order: the order fixes the LP rows and so
+        # every witness the orthant route reports
+        space = parse_space(text)
+        rng = random.Random(23)
+        for _ in range(25):
+            blocks, start = [], rng.randint(1, 3)
+            for _ in range(rng.randint(1, 3)):
+                width = rng.randint(1, 2)
+                blocks.append(Vector.of(
+                    {start + k: Fraction(rng.randint(1, 9), rng.randint(1, 5)) for k in range(width)}
+                ))
+                start += width + rng.randint(0, 1)
+            vectors = tuple(blocks)
+            assert _unsigned_rows(space, vectors) == oracle_unsigned_rows(space, vectors)
 
 
 class TestLowerBound:

@@ -174,6 +174,21 @@ class TestRegularity:
     def test_constructors_regular(self, text):
         assert check_regular(parse_family(text), 8).ok
 
+    @pytest.mark.parametrize(
+        "bad",
+        [(0,), (3, 2), (2, 2), (-1, 4), ("1",), (1.0,), frozenset({1})],
+    )
+    def test_explicit_rejects_malformed_members(self, bad):
+        # a member that is not an increasing tuple of positive integers used
+        # to build, then leak into enumerate_family and rank_restricted
+        with pytest.raises(FamilyError):
+            Explicit(frozenset({(), bad}))
+
+    def test_explicit_accepts_literals(self):
+        fam = Explicit(frozenset({(), (1,), (2, 5), (1, 3, 4)}))
+        assert enumerate_family(fam, 5) == [(), (1,), (2, 5), (1, 3, 4)]
+        assert Explicit().members == frozenset()
+
     def test_explicit_violation(self):
         bad = Explicit(frozenset({(), (1, 2)}))
         report = check_regular(bad, 3)

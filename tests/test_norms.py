@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from domcert.families import Schreier
+from domcert.families import Schreier, members_within
 from domcert.norms import (
     C0,
     Baernstein,
@@ -16,6 +16,9 @@ from domcert.norms import (
     SpaceError,
     Tsirelson,
     TsirelsonEngine,
+    _check_singletons,
+    _tsirelson_abs_functionals,
+    absolute_functionals,
     format_space,
     norm,
     norming_functionals,
@@ -205,6 +208,70 @@ class TestNormingFunctionals:
                 continue
             phis = norming_functionals(space, x.support)
             assert Mag.of(max(abs(p.dot(x)) for p in phis)) == norm(space, x)
+
+
+def oracle_norming_functionals(space, support):
+    """Every sign pattern spelled out per space, as the enumeration stood
+    before it was derived from the absolute functionals."""
+    support = tuple(support)
+    if isinstance(space, C0):
+        return [Vector.basis(i, s) for i in support for s in (1, -1)]
+    if isinstance(space, L1) or (isinstance(space, Lp) and space.p == 1):
+        return [
+            Vector.of({i: s for i, s in zip(support, signs)})
+            for signs in itertools.product((1, -1), repeat=len(support))
+        ]
+
+    def signed(f, coeffs):
+        for signs in itertools.product((1, -1), repeat=len(f)):
+            yield Vector.of({i: s * coeffs[i] for i, s in zip(f, signs)})
+
+    out = []
+    if isinstance(space, Combinatorial):
+        _check_singletons(space.fam, support)
+        ones = {i: Fraction(1) for i in support}
+        out.append(Vector())
+        for f in members_within(space.fam, support):
+            if f:
+                out.extend(signed(f, ones))
+        return out
+    assert isinstance(space, Tsirelson)
+    for base in _tsirelson_abs_functionals(space, support):
+        out.extend(signed(base.support, dict(base.entries)))
+    return out
+
+
+DIFFERENTIAL_SPACES = [
+    "C0", "L1", "LP(1)", "X[F[0]]", "X[F[1]]", "X[F[2]]", "X[S[1]]", "X[S[2]]",
+    "X[ALL]", "X[SUM(1;2)]", "X[NFOLD(S[1];2)]", "TSIRELSON(1;1/2)",
+]
+
+
+class TestAbsoluteFunctionals:
+    @pytest.mark.parametrize("text", DIFFERENTIAL_SPACES)
+    @pytest.mark.parametrize("support", [(), (1,), (1, 2, 3, 4, 5), (2, 3, 5, 7, 8)])
+    def test_signed_expansion_matches_oracle(self, text, support):
+        space = parse_space(text)
+        try:
+            expected = oracle_norming_functionals(space, support)
+        except SpaceError:
+            # F[0] misses every singleton
+            with pytest.raises(SpaceError):
+                norming_functionals(space, support)
+            with pytest.raises(SpaceError):
+                absolute_functionals(space, support)
+            return
+        assert norming_functionals(space, support) == expected
+        # the absolute functionals are the |phi| in first-occurrence order
+        first_seen = dict.fromkeys(
+            Vector(tuple((i, abs(c)) for i, c in phi.entries)) for phi in expected
+        )
+        assert absolute_functionals(space, support) == list(first_seen)
+
+    def test_one_absolute_functional_per_member(self):
+        phis = absolute_functionals(X1, (1, 2, 3))
+        assert [phi.support for phi in phis] == [(), (1,), (2,), (2, 3), (3,)]
+        assert all(c == 1 for phi in phis for _, c in phi.entries)
 
 
 class TestSpaceGrammar:
