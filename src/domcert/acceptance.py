@@ -1,7 +1,8 @@
 """The acceptance suite: twelve exact desk-scale checks, one per criterion.
 
-Each criterion is a function returning a CriterionResult; the runner prints
-one PASS/FAIL line per criterion with deterministic output for a fixed seed.
+Each criterion is a function returning a CriterionResult, entered in CRITERIA
+by the @criterion decorator; the runner prints one PASS/FAIL line per
+criterion with deterministic output for a fixed seed.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import wraps
 from typing import Callable
 
 from .domination import (
@@ -58,43 +60,52 @@ class CriterionResult:
     detail: str = ""
 
 
+CRITERIA: dict[str, Callable[[int], CriterionResult]] = {}
+
+
+def criterion(
+    cid: str, name: str
+) -> Callable[[Callable[[int], tuple[bool, str]]], Callable[[int], CriterionResult]]:
+    """Register a criterion body, which returns (passed, detail), in CRITERIA
+    as a function returning the CriterionResult named cid and name."""
+
+    def register(body: Callable[[int], tuple[bool, str]]) -> Callable[[int], CriterionResult]:
+        @wraps(body)
+        def run(seed: int = 0) -> CriterionResult:
+            return CriterionResult(cid, name, *body(seed))
+
+        CRITERIA[cid] = run
+        return run
+
+    return register
+
+
 def _subsets(universe: range):
     items = list(universe)
     for k in range(len(items) + 1):
         yield from itertools.combinations(items, k)
 
 
-def criterion_01_family_oracle(seed: int = 0) -> CriterionResult:
+@criterion("01", "family-oracle-equivalence")
+def criterion_01_family_oracle(seed: int = 0) -> tuple[bool, str]:
     """Membership agrees with the definitional unfolding oracle on {1..10}."""
     fine_levels = [
         from_int(0), from_int(1), from_int(2), from_int(3),
         OMEGA, parse_ordinal("w+1"), parse_ordinal("w*2"), parse_ordinal("w^2"),
     ]
+    levels = [(xi, FineSchreier(xi), oracle_fine_member) for xi in fine_levels]
+    levels += [(xi, Schreier(xi), oracle_schreier_member) for xi in map(from_int, range(3))]
     checked = 0
-    for xi in fine_levels:
-        fam = FineSchreier(xi)
+    for xi, fam, oracle in levels:
         for f in _subsets(range(1, 11)):
-            if fam.member(f) != oracle_fine_member(xi, f):
-                return CriterionResult(
-                    "01", "family-oracle-equivalence", False,
-                    f"F[{xi}] disagrees with the oracle at {f}",
-                )
+            if fam.member(f) != oracle(xi, f):
+                return False, f"{fam} disagrees with the oracle at {f}"
             checked += 1
-    for xi in [from_int(0), from_int(1), from_int(2)]:
-        fam = Schreier(xi)
-        for f in _subsets(range(1, 11)):
-            if fam.member(f) != oracle_schreier_member(xi, f):
-                return CriterionResult(
-                    "01", "family-oracle-equivalence", False,
-                    f"S[{xi}] disagrees with the oracle at {f}",
-                )
-            checked += 1
-    return CriterionResult(
-        "01", "family-oracle-equivalence", True, f"{checked} membership pairs agree"
-    )
+    return True, f"{checked} membership pairs agree"
 
 
-def criterion_02_ranks(seed: int = 0) -> CriterionResult:
+@criterion("02", "restricted-ranks")
+def criterion_02_ranks(seed: int = 0) -> tuple[bool, str]:
     """Fine Schreier ranks k+1 at N=12; exact Schreier(1) ranks for 2 <= N <= 12.
 
     The rank of a hereditary family cut to {1..N} is its longest member plus
@@ -109,9 +120,7 @@ def criterion_02_ranks(seed: int = 0) -> CriterionResult:
     for k in range(7):
         got = rank_restricted(FineSchreier(from_int(k)), 12)
         if got != k + 1:
-            return CriterionResult(
-                "02", "restricted-ranks", False, f"rank(F[{k}]|12) = {got} != {k+1}"
-            )
+            return False, f"rank(F[{k}]|12) = {got} != {k+1}"
     one = from_int(1)
     longest = [0] * 13  # longest[n]: longest oracle-accepted subset of {1..n}
     for f in _subsets(range(1, 13)):
@@ -122,29 +131,22 @@ def criterion_02_ranks(seed: int = 0) -> CriterionResult:
     ranks = {n: rank_restricted(Schreier(one), n) for n in ns}
     for n in ns:
         if ranks[n] != longest[n] + 1:
-            return CriterionResult(
-                "02", "restricted-ranks", False,
+            return False, (
                 f"rank(S[1]|{n}) = {ranks[n]} != 1 + {longest[n]}, the longest "
-                f"subset of {{1..{n}}} the oracle accepts",
+                f"subset of {{1..{n}}} the oracle accepts"
             )
         closed = (n + 1) // 2 + 1
         if ranks[n] != closed:
-            return CriterionResult(
-                "02", "restricted-ranks", False,
-                f"rank(S[1]|{n}) = {ranks[n]} != floor(({n}+1)/2)+1 = {closed}",
-            )
+            return False, f"rank(S[1]|{n}) = {ranks[n]} != floor(({n}+1)/2)+1 = {closed}"
     for n in range(2, 11):
         if ranks[n + 2] != ranks[n] + 1:
-            return CriterionResult(
-                "02", "restricted-ranks", False,
-                f"rank(S[1]|{n + 2}) = {ranks[n + 2]} != "
-                f"rank(S[1]|{n})+1 = {ranks[n] + 1}",
+            return False, (
+                f"rank(S[1]|{n + 2}) = {ranks[n + 2]} != rank(S[1]|{n})+1 = {ranks[n] + 1}"
             )
-    return CriterionResult(
-        "02", "restricted-ranks", True,
+    return True, (
         f"F[k]|12 ranks k+1 for k=0..6; S[1] ranks {list(ranks.values())} for "
         "N=2..12 equal floor((N+1)/2)+1 and 1 + the longest oracle member, "
-        "rising by 1 every 2 steps",
+        "rising by 1 every 2 steps"
     )
 
 
@@ -155,19 +157,15 @@ REGULARITY_TEST_SET: list[str] = [
 ]
 
 
-def criterion_03_regularity(seed: int = 0) -> CriterionResult:
+@criterion("03", "regularity")
+def criterion_03_regularity(seed: int = 0) -> tuple[bool, str]:
     from .families import parse_family
 
     for text in REGULARITY_TEST_SET:
         report = check_regular(parse_family(text), 10)
         if not report.ok:
-            return CriterionResult(
-                "03", "regularity", False,
-                f"{text} fails at N=10: {report.counterexample}",
-            )
-    return CriterionResult(
-        "03", "regularity", True, f"{len(REGULARITY_TEST_SET)} families regular at N=10"
-    )
+            return False, f"{text} fails at N=10: {report.counterexample}"
+    return True, f"{len(REGULARITY_TEST_SET)} families regular at N=10"
 
 
 def _all_spreads(m: tuple[int, ...], cap: int):
@@ -182,7 +180,8 @@ def _all_spreads(m: tuple[int, ...], cap: int):
     yield from rec(0, 0)
 
 
-def criterion_04_right_dominance(seed: int = 0) -> CriterionResult:
+@criterion("04", "one-right-dominance")
+def criterion_04_right_dominance(seed: int = 0) -> tuple[bool, str]:
     """1-right dominance of the Schreier space bases on every spread pair
     with entries <= 8 and length <= 4, exact; a seeded sample is re-checked
     on the LP engine."""
@@ -198,24 +197,15 @@ def criterion_04_right_dominance(seed: int = 0) -> CriterionResult:
         for m, l in pairs:
             rep = right_dominance_defect(space, m, l, Fraction(1))
             if not rep.ok:
-                return CriterionResult(
-                    "04", "one-right-dominance", False,
-                    f"{name}: constant {rep.constant} > 1 at m={m}, l={l}",
-                )
+                return False, f"{name}: constant {rep.constant} > 1 at m={m}, l={l}"
     rng = random.Random(seed)
     for m, l in rng.sample(pairs, 40):
         for name, space in spaces:
             fast = right_dominance_defect(space, m, l, Fraction(1), engine="auto")
             slow = right_dominance_defect(space, m, l, Fraction(1), engine="lp")
             if fast.constant != slow.constant:
-                return CriterionResult(
-                    "04", "one-right-dominance", False,
-                    f"{name}: engines disagree at m={m}, l={l}",
-                )
-    return CriterionResult(
-        "04", "one-right-dominance", True,
-        f"{2*len(pairs)} spread pairs at constant <= 1; 80 LP cross-checks",
-    )
+                return False, f"{name}: engines disagree at m={m}, l={l}"
+    return True, f"{2*len(pairs)} spread pairs at constant <= 1; 80 LP cross-checks"
 
 
 def _seeded_blocks(
@@ -252,7 +242,8 @@ def _seeded_blocks(
     return blocks
 
 
-def criterion_05_block_domination(seed: int = 0) -> CriterionResult:
+@criterion("05", "block-domination")
+def criterion_05_block_domination(seed: int = 0) -> tuple[bool, str]:
     """Normalized blocks in X[S[1]] certify at C=1 against the basis at
     support maxima."""
     rng = random.Random(seed)
@@ -266,18 +257,15 @@ def criterion_05_block_domination(seed: int = 0) -> CriterionResult:
             continue
         cert, rho = block_certificate(s1, blocks)
         if not cert.verified or cert.C != 1:
-            return CriterionResult(
-                "05", "block-domination", False, f"run {runs}: {cert.to_json()}"
-            )
+            return False, f"run {runs}: {cert.to_json()}"
         if cert.L != tuple(v.support[-1] for v in blocks):
-            return CriterionResult(
-                "05", "block-domination", False, f"run {runs}: wrong L {cert.L}"
-            )
+            return False, f"run {runs}: wrong L {cert.L}"
         runs += 1
-    return CriterionResult("05", "block-domination", True, "50 block certificates at C=1")
+    return True, "50 block certificates at C=1"
 
 
-def criterion_06_baernstein(seed: int = 0) -> CriterionResult:
+@criterion("06", "baernstein-bound")
+def criterion_06_baernstein(seed: int = 0) -> tuple[bool, str]:
     """Sound lower bounds never exceed 4 for blocks in Baernstein(1,2)
     against the basis at support maxima."""
     rng = random.Random(seed)
@@ -294,15 +282,13 @@ def criterion_06_baernstein(seed: int = 0) -> CriterionResult:
         )
         res = domination_lower_bound(xs, ys, trials=40, seed=seed + runs)
         if res.status != "ok" or not res.value <= Mag.of(Fraction(4)):
-            return CriterionResult(
-                "06", "baernstein-bound", False,
-                f"run {runs}: lower bound {res.value} exceeds 4",
-            )
+            return False, f"run {runs}: lower bound {res.value} exceeds 4"
         runs += 1
-    return CriterionResult("06", "baernstein-bound", True, "50 runs bounded by 4")
+    return True, "50 runs bounded by 4"
 
 
-def criterion_07_tsirelson(seed: int = 0) -> CriterionResult:
+@criterion("07", "tsirelson-lower-bound")
+def criterion_07_tsirelson(seed: int = 0) -> tuple[bool, str]:
     """theta-lower l1 estimate for blocks in Tsirelson(1,1/2) along Schreier
     sets, with fixpoint idempotence on every evaluated vector."""
     rng = random.Random(seed)
@@ -337,23 +323,15 @@ def criterion_07_tsirelson(seed: int = 0) -> CriterionResult:
                 value = engine.norm()
                 target = theta * sum((abs(Fraction(c)) for c in a), Fraction(0))
                 if value < target:
-                    return CriterionResult(
-                        "07", "tsirelson-lower-bound", False,
-                        f"|sum| = {value} < {target} at F={f}, a={a}",
-                    )
+                    return False, f"|sum| = {value} < {target} at F={f}, a={a}"
                 if not engine.check_idempotent():
-                    return CriterionResult(
-                        "07", "tsirelson-lower-bound", False,
-                        f"fixpoint not idempotent at F={f}, a={a}",
-                    )
+                    return False, f"fixpoint not idempotent at F={f}, a={a}"
                 evaluated += 1
-    return CriterionResult(
-        "07", "tsirelson-lower-bound", True,
-        f"{evaluated} evaluations over 8 block sequences",
-    )
+    return True, f"{evaluated} evaluations over 8 block sequences"
 
 
-def criterion_08_combinators(seed: int = 0) -> CriterionResult:
+@criterion("08", "combinator-soundness")
+def criterion_08_combinators(seed: int = 0) -> tuple[bool, str]:
     """Seeded transformer runs re-verify with the exact claimed constants."""
     rng = random.Random(seed)
     s1 = Schreier(from_int(1))
@@ -405,40 +383,31 @@ def criterion_08_combinators(seed: int = 0) -> CriterionResult:
                     == r * o2.certificate.C + 1 / r
                 )
         except Exception as exc:  # any transformer failure fails the criterion
-            return CriterionResult(
-                "08", "combinator-soundness", False, f"run {runs} ({op}): {exc}"
-            )
+            return False, f"run {runs} ({op}): {exc}"
         if not ok:
-            return CriterionResult(
-                "08", "combinator-soundness", False, f"run {runs} ({op}): constant drifted"
-            )
+            return False, f"run {runs} ({op}): constant drifted"
         detail_counts[op] += 1
         runs += 1
-    return CriterionResult(
-        "08", "combinator-soundness", True,
-        "100 runs: " + ", ".join(f"{k}={v}" for k, v in sorted(detail_counts.items())),
-    )
+    return True, "100 runs: " + ", ".join(f"{k}={v}" for k, v in sorted(detail_counts.items()))
 
 
-def criterion_09_embedding(seed: int = 0) -> CriterionResult:
+@criterion("09", "order-embedding")
+def criterion_09_embedding(seed: int = 0) -> tuple[bool, str]:
     src = FineSchreier(OMEGA)
     dst = Schreier(from_int(1))
     res = find_order_embedding(src, dst, 8)
     if not res.found:
-        return CriterionResult("09", "order-embedding", False, "no embedding found")
+        return False, "no embedding found"
     mapping = res.mapping
     for f in enumerate_family(src, 8):
         image = tuple(mapping[i - 1] for i in f)
         if not dst.member(image):
-            return CriterionResult(
-                "09", "order-embedding", False, f"image {image} of {f} escapes S[1]"
-            )
-    return CriterionResult(
-        "09", "order-embedding", True, f"P = {mapping} verified exhaustively"
-    )
+            return False, f"image {image} of {f} escapes S[1]"
+    return True, f"P = {mapping} verified exhaustively"
 
 
-def criterion_10_spreading(seed: int = 0) -> CriterionResult:
+@criterion("10", "spreading-models")
+def criterion_10_spreading(seed: int = 0) -> tuple[bool, str]:
     """Exact spreading tables of the X[S[1]] basis are the l1 tables, and two
     different subsequence specs are 1-equivalent."""
     for m in range(1, 6):
@@ -447,76 +416,39 @@ def criterion_10_spreading(seed: int = 0) -> CriterionResult:
             res = exact_spreading_combinatorial(from_int(1), SubseqSpec(), m, a)
             expect = sum((abs(Fraction(v)) for v in a), Fraction(0))
             if not (res.stable and res.value == Mag.of(expect)):
-                return CriterionResult(
-                    "10", "spreading-models", False,
-                    f"m={m}, a={a}: value {res.value} != l1 mass {expect}",
-                )
+                return False, f"m={m}, a={a}: value {res.value} != l1 mass {expect}"
     probes = default_probes(3, seed, extra=8)
     t1 = exact_table(from_int(1), SubseqSpec(), 3, probes)
     t2 = exact_table(from_int(1), SubseqSpec("affine", 4, 5), 3, probes)
     eq = equivalence_constant(t1, t2)
     if not (eq.exact and eq.lower == MAG_ONE and eq.upper == MAG_ONE):
-        return CriterionResult(
-            "10", "spreading-models", False, f"equivalence constant {eq.lower} != 1"
-        )
-    return CriterionResult(
-        "10", "spreading-models", True, "l1 tables for m <= 5; subsequence equivalence 1"
-    )
+        return False, f"equivalence constant {eq.lower} != 1"
+    return True, "l1 tables for m <= 5; subsequence equivalence 1"
 
 
-def criterion_11_bridge(seed: int = 0) -> CriterionResult:
+@criterion("11", "main2-bridge")
+def criterion_11_bridge(seed: int = 0) -> tuple[bool, str]:
     rho = basis_sequence(Combinatorial(Schreier(from_int(1))), 24)
     report = check_main2_bridge(rho, from_int(1), Fraction(1), 6, seed=seed)
     if not report.ok:
-        return CriterionResult(
-            "11", "main2-bridge", False,
-            f"a={report.direction_a}, b={report.direction_b}",
-        )
+        return False, f"a={report.direction_a}, b={report.direction_b}"
     constant = Fraction(report.direction_b["certificate_constant"])
     if constant > 1 + 2 * Fraction(1):
-        return CriterionResult(
-            "11", "main2-bridge", False, f"certificate constant {constant} > 1+2C"
-        )
-    return CriterionResult(
-        "11", "main2-bridge", True,
-        f"both directions pass; (i)=>(iii) constant {constant} <= 3",
-    )
+        return False, f"certificate constant {constant} > 1+2C"
+    return True, f"both directions pass; (i)=>(iii) constant {constant} <= 3"
 
 
-def criterion_12_gamma_brackets(seed: int = 0) -> CriterionResult:
+@criterion("12", "gamma-brackets")
+def criterion_12_gamma_brackets(seed: int = 0) -> tuple[bool, str]:
     rho = basis_sequence(L1(), 3)
     bracket = gamma_bracket(rho, None, 3, g_space=C0())
     if not (bracket.lower >= 3):
-        return CriterionResult(
-            "12", "gamma-brackets", False, f"l1 vs c0 lower {bracket.lower} < 3"
-        )
+        return False, f"l1 vs c0 lower {bracket.lower} < 3"
     resolution = Fraction(1, 16)
     zero = gamma_bracket(rho, from_int(0), 3, resolution=resolution, g_space=C0())
     if not (zero.lower == 0 and zero.upper <= resolution):
-        return CriterionResult(
-            "12", "gamma-brackets", False,
-            f"xi=0 bracket [{zero.lower}, {zero.upper}] not within [0, {resolution}]",
-        )
-    return CriterionResult(
-        "12", "gamma-brackets", True,
-        f"l1/c0 depth-3 lower {bracket.lower}; xi=0 bracket [0, {zero.upper}]",
-    )
-
-
-CRITERIA: dict[str, Callable[[int], CriterionResult]] = {
-    "01": criterion_01_family_oracle,
-    "02": criterion_02_ranks,
-    "03": criterion_03_regularity,
-    "04": criterion_04_right_dominance,
-    "05": criterion_05_block_domination,
-    "06": criterion_06_baernstein,
-    "07": criterion_07_tsirelson,
-    "08": criterion_08_combinators,
-    "09": criterion_09_embedding,
-    "10": criterion_10_spreading,
-    "11": criterion_11_bridge,
-    "12": criterion_12_gamma_brackets,
-}
+        return False, f"xi=0 bracket [{zero.lower}, {zero.upper}] not within [0, {resolution}]"
+    return True, f"l1/c0 depth-3 lower {bracket.lower}; xi=0 bracket [0, {zero.upper}]"
 
 SUITES: dict[str, list[str]] = {
     "families": ["01", "02", "03"],

@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Callable
 
 from . import acceptance as acc
 from .domination import (
@@ -101,17 +102,30 @@ def _parse_q(text: str | None) -> QSchedule:
     return QSchedule(prefix, slope, offset)
 
 
+def _load_json(path: str, parse: Callable):
+    """parse(data) for the JSON in the file at path.  A KeyError, TypeError or
+    IndexError raised by parse means the file is malformed: a usage error."""
+    data = json.loads(Path(path).read_text())
+    try:
+        return parse(data)
+    except (KeyError, TypeError, IndexError) as exc:
+        raise CliError(f"malformed {path}: {type(exc).__name__}: {exc}") from exc
+
+
 def _load_sequence(spec: str, q: QSchedule) -> VectorSequence:
     """'basis:<space>:<length>' or a path to a sequence JSON file."""
     if spec.startswith("basis:"):
         _, space_text, length = spec.split(":")
         return basis_sequence(parse_space(space_text, q), int(length))
-    data = json.loads(Path(spec).read_text())
-    return VectorSequence.from_json(data, q)
+    return _load_json(spec, lambda data: VectorSequence.from_json(data, q))
 
 
 def _load_vector(spec: str) -> Vector:
-    return Vector.from_json(json.loads(Path(spec).read_text()))
+    return _load_json(spec, Vector.from_json)
+
+
+def _load_certificate(path: str, q: QSchedule) -> Certificate:
+    return _load_json(path, lambda data: Certificate.from_json(data, q))
 
 
 def _finset(text: str):
@@ -260,7 +274,7 @@ def cmd_certify(args) -> int:
             args.rho = args.cert
     _require(args.rho, "rho sequence")
     if args.action == "verify":
-        cert = Certificate.loads(Path(args.cert).read_text(), q)
+        cert = _load_certificate(args.cert, q)
         rho = _load_sequence(args.rho, q)
         report = verify_certificate(cert, rho, q)
         payload = {
@@ -335,21 +349,21 @@ def cmd_transfer(args) -> int:
     rho = _load_sequence(args.rho, q) if args.rho else None
     try:
         if args.action == "shift":
-            cert = Certificate.loads(Path(args.inputs[0]).read_text(), q)
+            cert = _load_certificate(args.inputs[0], q)
             out = shift_certificate(cert, rho, parse_ordinal(args.target), int(args.shift), q)
             _emit(out.to_json(), args)
         elif args.action == "sum":
-            c1 = Certificate.loads(Path(args.inputs[0]).read_text(), q)
-            c2 = Certificate.loads(Path(args.inputs[1]).read_text(), q)
+            c1 = _load_certificate(args.inputs[0], q)
+            c2 = _load_certificate(args.inputs[1], q)
             out = sum_combine(c1, c2, rho, parse_fraction(args.r), q)
             _emit(out.to_json(), args)
         elif args.action == "limit":
-            certs = [Certificate.loads(Path(p).read_text(), q) for p in args.inputs]
+            certs = [_load_certificate(p, q) for p in args.inputs]
             out = limit_combine(certs, rho, parse_ordinal(args.xi), parse_fraction(args.r), q)
             _emit(out.to_json(), args)
         elif args.action == "merge":
-            base = Certificate.loads(Path(args.inputs[0]).read_text(), q)
-            extras = [Certificate.loads(Path(p).read_text(), q) for p in args.inputs[1:]]
+            base = _load_certificate(args.inputs[0], q)
+            extras = [_load_certificate(p, q) for p in args.inputs[1:]]
             res = merge_subsequence_certificates(base, extras, rho, parse_fraction(args.r), q)
             _emit(
                 {
@@ -365,9 +379,7 @@ def cmd_transfer(args) -> int:
             )
         elif args.action == "block":
             fam = parse_family(args.target, q)
-            vectors = [
-                Vector.from_json(v) for v in json.loads(Path(args.inputs[0]).read_text())
-            ]
+            vectors = _load_json(args.inputs[0], lambda data: [Vector.from_json(v) for v in data])
             cert, _ = block_certificate(fam, vectors, q)
             _emit(cert.to_json(), args)
         elif args.action == "frak":

@@ -155,8 +155,10 @@ def _nonneg_disjoint(seq: VectorSequence) -> bool:
 def _unsigned_rows(space: SpaceSpec, vectors: tuple[Vector, ...]) -> list[tuple[Fraction, ...]]:
     """Rows (phi(v) for v in vectors) over the absolute functionals phi, pruned
     of pointwise-dominated ones: on the positive orthant they carry the whole
-    norm of disjoint nonnegative vectors in a 1-unconditional space.  Rows enter
-    the set in first-occurrence order, so the LP row order is fixed."""
+    norm of disjoint nonnegative vectors in a 1-unconditional space.  The set
+    of Fraction tuples iterates in hash order, not insertion order; numeric
+    hashes are not randomized, so the LP row order is the same on every run
+    and under every PYTHONHASHSEED."""
     support = sorted({i for v in vectors for i in v.support})
     rows: set[tuple[Fraction, ...]] = set()
     for phi in absolute_functionals(space, tuple(support)):

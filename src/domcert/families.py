@@ -157,6 +157,11 @@ class Restrict(Family):
     base: Family
     stream_prefix: FinSet
 
+    def __post_init__(self) -> None:
+        if not self.stream_prefix:
+            raise FamilyError("RESTRICT needs a nonempty stream prefix")
+        as_finset(self.stream_prefix)
+
     def _member(self, f: FinSet) -> bool:
         if f and f[-1] > self.stream_prefix[-1]:
             raise FamilyError(
@@ -238,6 +243,7 @@ def _blocks_cover(member: Callable[[FinSet], bool], f: FinSet, max_blocks: int) 
 
 DEFAULT_ENUM_BOUND = 20
 DEFAULT_MEMBER_BUDGET = 500_000
+EMBED_NODE_BUDGET = 200_000
 
 
 def _size_lex(f: FinSet) -> tuple[int, FinSet]:
@@ -276,16 +282,11 @@ def members_within(
     return out
 
 
-def enumerate_family(
-    fam: Family,
-    n: int,
-    bound: int = DEFAULT_ENUM_BOUND,
-    member_budget: int = DEFAULT_MEMBER_BUDGET,
-) -> list[FinSet]:
+def enumerate_family(fam: Family, n: int) -> list[FinSet]:
     """All members contained in {1..n}, sorted by (size, lexicographic order)."""
-    if n < 1 or n > bound:
-        raise BudgetError(f"enumeration universe must satisfy 1 <= N <= {bound}")
-    return sorted(members_within(fam, tuple(range(1, n + 1)), member_budget), key=_size_lex)
+    if n < 1 or n > DEFAULT_ENUM_BOUND:
+        raise BudgetError(f"enumeration universe must satisfy 1 <= N <= {DEFAULT_ENUM_BOUND}")
+    return sorted(members_within(fam, tuple(range(1, n + 1)), DEFAULT_MEMBER_BUDGET), key=_size_lex)
 
 
 def members_by_max(members: Iterable[FinSet], n: int) -> dict[int, list[FinSet]]:
@@ -380,18 +381,11 @@ class EmbeddingResult:
         return self.mapping is not None
 
 
-def find_order_embedding(
-    src: Family,
-    dst: Family,
-    n: int,
-    cap: Optional[int] = None,
-    node_budget: int = 200_000,
-) -> EmbeddingResult:
-    """Search a strictly increasing P on {1..n} with P(F) in dst for every
-    F in src within {1..n}.  Smallest-image-first, so the result is
+def find_order_embedding(src: Family, dst: Family, n: int) -> EmbeddingResult:
+    """Search a strictly increasing P on {1..n} into {1..3n} with P(F) in dst
+    for every F in src within {1..n}.  Smallest-image-first, so the result is
     deterministic.  Failure reports a spent budget, not nonexistence.
     """
-    cap = cap if cap is not None else 3 * n
     members = enumerate_family(src, n)
     by_max = members_by_max(members, n)
     mapping: list[int] = []
@@ -409,9 +403,9 @@ def find_order_embedding(
         if k > n:
             return True
         start = mapping[-1] + 1 if mapping else 1
-        for v in range(start, cap + 1):
+        for v in range(start, 3 * n + 1):
             nodes += 1
-            if nodes > node_budget:
+            if nodes > EMBED_NODE_BUDGET:
                 raise BudgetError("embedding search budget exhausted")
             mapping.append(v)
             if ok_at(k) and search(k + 1):
@@ -483,7 +477,7 @@ def parse_family(text: str, q: QSchedule = Q_DEFAULT) -> Family:
         inner, _, stream = text[9:-1].partition(";")
         if not _:
             raise FamilyError("RESTRICT needs a family and a stream prefix")
-        prefix = as_finset(int(v) for v in stream.split(",") if v.strip())
+        prefix = tuple(int(v) for v in stream.split(",") if v.strip())
         return Restrict(parse_family(inner, q), prefix)
     raise FamilyError(f"cannot parse family {text!r}")
 

@@ -285,9 +285,11 @@ def _indicator(f: FinSet) -> Vector:
     return Vector(tuple((i, Fraction(1)) for i in f))
 
 
-def _tsirelson_abs_functionals(
-    space: Tsirelson, support: FinSet, cap: int = 100_000
-) -> list[Vector]:
+# largest admissible-tree functional closure built before giving up
+TSIRELSON_FUNCTIONAL_CAP = 100_000
+
+
+def _tsirelson_abs_functionals(space: Tsirelson, support: FinSet) -> list[Vector]:
     """All nonnegative admissible-tree functionals on the support: the basis
     functionals closed under theta*(f_1 + ... + f_t) over admissible systems
     of t >= 2 ordered parts.
@@ -323,9 +325,9 @@ def _tsirelson_abs_functionals(
 
         build([], (), 0, False)
         kept |= fresh
-        if len(kept) > cap:
+        if len(kept) > TSIRELSON_FUNCTIONAL_CAP:
             raise SpaceError(
-                f"Tsirelson functional closure exceeds {cap} elements on "
+                f"Tsirelson functional closure exceeds {TSIRELSON_FUNCTIONAL_CAP} elements on "
                 f"support of size {len(support)}"
             )
         frontier = fresh

@@ -47,6 +47,14 @@ class SubseqSpec:
     step: int = 1
     prefix: tuple[int, ...] = ()
 
+    def __post_init__(self) -> None:
+        prev = (0,) + self.prefix
+        if self.start < 1 or self.step < 1 or any(a >= b for a, b in zip(prev, self.prefix)):
+            raise SpreadingError(
+                "not a subsequence: need start >= 1, step >= 1 and a strictly "
+                "increasing prefix of positive integers"
+            )
+
     def __call__(self, n: int) -> int:
         if n < 1:
             raise SpreadingError("subsequence index starts at 1")
@@ -144,10 +152,7 @@ def estimate_spreading(
             raise SpreadingError("probe length must equal m")
     tables = []
     for s in stages:
-        indices = [subseq(s * 2**n) for n in range(1, m + 1)]
-        if any(a >= b for a, b in zip(indices, indices[1:])):
-            raise SpreadingError("index schedule must be strictly increasing")
-        vectors = [gen(i) for i in indices]
+        vectors = [gen(subseq(s * 2**n)) for n in range(1, m + 1)]
         values = {
             p: norm(space, combine(vectors, p)) for p in map(tuple, probes)
         }

@@ -1,4 +1,6 @@
-"""One test per acceptance criterion, each printing its PASS/FAIL line.
+"""One test per acceptance criterion, each printing its PASS/FAIL line and
+checking it, detail text included, against the line that
+`domcert acceptance all --seed 0` printed when tests/golden was recorded.
 
 Criterion 02 pins the restricted ranks of S[1] to their exact values
 floor((N+1)/2)+1 and to one plus the longest oracle-accepted member; the
@@ -6,18 +8,29 @@ negative controls below replace the rank function by wrong ones and check
 that the criterion then fails.
 """
 
+from pathlib import Path
+
 import pytest
 
 from domcert import acceptance as acc
 
 SEED = 0
 
+# `domcert acceptance all --seed 0`: one line per criterion, then the tally
+GOLDEN_LINES = {
+    line.split()[1]: line
+    for line in (Path(__file__).resolve().parent / "golden" / "acceptance_all_seed0.out")
+    .read_text()
+    .splitlines()[:-1]
+}
+
 
 def _run(cid: str):
     result = acc.CRITERIA[cid](SEED)
-    status = "PASS" if result.passed else "FAIL"
-    print(f"{status} {result.cid} {result.name}: {result.detail}")
+    line = acc.format_results([result]).splitlines()[0]
+    print(line)
     assert result.passed, f"criterion {cid}: {result.detail}"
+    assert line == GOLDEN_LINES[cid]
 
 
 def test_criterion_01_family_oracle_equivalence():

@@ -60,6 +60,12 @@ class TestFamCli:
         code, _ = run(capsys, "fam", "member", "NOPE[1]", "1 2")
         assert code == 1
 
+    def test_restrict_empty_stream_is_usage_error(self, capsys):
+        # used to die with an IndexError traceback inside membership
+        code = main(["fam", "member", "RESTRICT(S[1];)", "1"])
+        err = capsys.readouterr().err
+        assert code == 1 and "error: RESTRICT needs a nonempty stream prefix" in err
+
     def test_am_witness(self, capsys):
         code, out = run(capsys, "fam", "am-witness", "2", "w", "10")
         assert code == 0 and out == "1"
@@ -265,6 +271,22 @@ class TestSpreadCli:
         assert code == 0
         assert json.loads(out)["lower"]["value"] == "1"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["exact", "1", "--coeffs", "1,1", "--subseq", "affine(5,0)"],
+            ["exact", "1", "--coeffs", "1,1", "--subseq", "9,3"],
+            ["equiv", "1", "--subseq", "affine(1,0)"],
+        ],
+        ids=["constant", "decreasing", "equiv-constant"],
+    )
+    def test_non_subsequence_is_usage_error(self, capsys, argv):
+        # each used to report a result as if the map were a subsequence
+        code = main(["spread", *argv])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: not a subsequence")
+
 
 class TestTransferChainCli:
     def test_block_then_shift(self, capsys, tmp_path):
@@ -334,6 +356,48 @@ class TestUsageErrors:
         code = main([files.get(a, a) for a in argv])
         err = capsys.readouterr().err
         assert code == 1 and err.splitlines()[-1].startswith("error: ")
+
+
+class TestMalformedInput:
+    """A JSON file missing a field, or holding the wrong kind of value, is a
+    usage error naming the file, not a traceback."""
+
+    CERT = {"xi": "ALL", "M": [1], "L": [1], "C": "1", "g_space": "C0", "rho": ""}
+
+    @pytest.mark.parametrize(
+        "argv, content",
+        [
+            (["certify", "verify", "{f}", "basis:C0:1"],
+             {k: v for k, v in CERT.items() if k != "M"}),
+            (["certify", "verify", "{f}", "basis:C0:1"], {**CERT, "M": 5}),
+            (["certify", "verify", "{f}", "basis:C0:1"], [CERT]),
+            (["transfer", "shift", "{f}", "--rho", "basis:C0:2", "--target", "0"],
+             {**CERT, "L": 3}),
+            (["transfer", "limit", "{f}", "--rho", "basis:C0:2"],
+             {k: v for k, v in CERT.items() if k != "C"}),
+            (["dominate", "exact", "{f}", "basis:C0:1"],
+             {"space": "C0", "vectors": [{"values": [[1, "1"]]}]}),
+            (["dominate", "exact", "basis:C0:1", "{f}"], {"space": "C0"}),
+            (["transfer", "frak", "{f}", "--depth", "2"], {"vectors": []}),
+            (["norm", "eval", "C0", "{f}"], {"entries": 1}),
+            (["norm", "eval", "C0", "{f}"], {"entries": [1]}),
+            (["transfer", "block", "{f}", "--target", "S[1]"], [{"entries": [[1, "1"]]}, {}]),
+            (["transfer", "block", "{f}", "--target", "S[1]"], 7),
+        ],
+        ids=[
+            "cert-missing-M", "cert-int-M", "cert-list", "shift-int-L", "limit-missing-C",
+            "sequence-vector-no-entries", "sequence-no-vectors", "frak-no-space",
+            "vector-int-entries", "vector-int-entry", "block-vector-no-entries",
+            "block-not-a-list",
+        ],
+    )
+    def test_malformed_file_exit_one(self, capsys, tmp_path, argv, content):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(content))
+        code = main([str(path) if a == "{f}" else a for a in argv])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.splitlines()[-1].startswith(f"error: malformed {path}: ")
 
 
 class TestDeterminism:

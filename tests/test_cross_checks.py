@@ -190,8 +190,8 @@ class TestEstimateEdges:
 
     def test_decreasing_schedule_rejected(self):
         # stage 1 with m=2 probes positions 2 and 4: indices 9 then 4
-        spec = SubseqSpec("explicit", prefix=(1, 9, 5, 4))
         with pytest.raises(SpreadingError):
+            spec = SubseqSpec("explicit", prefix=(1, 9, 5, 4))
             estimate_spreading(
                 C0(), lambda n: Vector.basis(n), spec, 2, [1], [(1, 1)]
             )

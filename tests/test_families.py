@@ -10,6 +10,7 @@ from domcert.families import (
     FamilyError,
     FineSchreier,
     QSchedule,
+    Restrict,
     Schreier,
     SumFamily,
     almost_monotone_witness,
@@ -301,7 +302,7 @@ class TestEmbedding:
         assert res.mapping == (2, 3, 4, 5, 6, 7)
 
     def test_failure_reported(self):
-        res = find_order_embedding(S1, FineSchreier(from_int(1)), 4, cap=12)
+        res = find_order_embedding(S1, FineSchreier(from_int(1)), 4)
         assert not res.found and res.exhausted
 
 
@@ -320,6 +321,13 @@ class TestGrammar:
         assert not fam.member((2, 3))
         with pytest.raises(FamilyError):
             fam.member((10,))
+
+    @pytest.mark.parametrize("prefix", [(), (3, 3), (4, 2), (0, 1)])
+    def test_restrict_rejects_bad_stream_prefix(self, prefix):
+        # an empty prefix used to build and then fail with an IndexError
+        # inside membership
+        with pytest.raises(FamilyError):
+            Restrict(S1, prefix)
 
     def test_bad_input(self):
         with pytest.raises(FamilyError):

@@ -116,6 +116,34 @@ class TestEquivalence:
             equivalence_constant(t1, t2)
 
 
+class TestSubseqSpec:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ("affine", 5, 0),  # constant
+            ("affine", 1, -1),
+            ("affine", 0, 1),
+            ("explicit", 1, 1, (9, 3)),
+            ("explicit", 1, 1, (2, 2)),
+            ("explicit", 1, 1, (0, 1)),
+            ("explicit", 1, 0, (1, 2)),
+        ],
+    )
+    def test_rejects_maps_that_are_not_subsequences(self, spec):
+        with pytest.raises(SpreadingError):
+            SubseqSpec(*spec)
+
+    @pytest.mark.parametrize("text", ["affine(5,0)", "9,3", "affine(1,0)", "affine(0,2)"])
+    def test_parse_rejects_maps_that_are_not_subsequences(self, text):
+        with pytest.raises(SpreadingError):
+            SubseqSpec.parse(text)
+
+    def test_accepts_subsequences(self):
+        assert [SubseqSpec("affine", 4, 5)(n) for n in (1, 2, 3)] == [4, 9, 14]
+        assert [SubseqSpec.parse("2,3")(n) for n in (1, 2, 3)] == [2, 3, 4]
+        assert SubseqSpec("explicit")(7) == 7
+
+
 class TestBridge:
     def test_schreier_self_instance(self):
         rho = basis_sequence(X1, 24)
