@@ -1,8 +1,15 @@
 """Exact rational linear programming and linear algebra.
 
-A small two-phase simplex with Bland's rule over `Fraction` entries.  Problem
+A small two-phase simplex with Bland's rule over an integer tableau.  Problem
 sizes here are tiny (at most a few hundred variables, single-digit constraint
-counts), so clarity beats sparsity.
+counts), so clarity beats sparsity.  Each tableau row is a list of integers
+standing for itself divided by its basic entry, a positive denominator.  A
+pivot on entry p of row r (its sign made positive) replaces every other row i
+by p.row_i - row_i[e].row_r divided by its gcd, fraction-free as in Bareiss
+and Edmonds.  A positive row factor changes neither the sign of a reduced cost
+nor a ratio rhs_i / a_ie, so Bland's rule and the ratio test with its
+tie-break pick the pivots of the same simplex over `Fraction` entries, with
+the same bases and answers; values become `Fraction`s only at the output.
 
 Every optimisation in domcert is posed in one form: a polyhedron given as
 `(rows, rhs)`, meaning {a : rows[k].a <= rhs[k] for every k}, and a linear
@@ -15,9 +22,9 @@ a simplex are row lists in this form.
 optimal bases it has found.  Only c changes between them, so a cached basis B
 (the rows tight at its vertex v) is optimal for a new c exactly when the
 multipliers l_B solving sum_{k in B} l_k rows[k] = c are >= 0.  Such a value
-is accepted only after exact checks: l_B >= 0, the sum equals c in every
-coordinate, and rhs_B.l_B = c.v.  Any other objective gets a fresh simplex,
-whose basis joins the cache.
+is accepted only after exact checks, in integers over the rows scaled once:
+l_B >= 0, the sum equals c in every coordinate, and rhs_B.l_B = c.v.  Any
+other objective gets a fresh simplex, whose basis joins the cache.
 """
 
 from __future__ import annotations
@@ -89,9 +96,40 @@ def solve_square(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> Opti
     return x
 
 
-def _minus_multiple(u: Row, f: Fraction, v: Row) -> Row:
-    """u - f v over the length of u, skipping the zero entries of v."""
-    return [a - f * b if b else a for a, b in zip(u, v)]
+def _scaled(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Rationals as integers over their least positive common denominator."""
+    values = [Fraction(v) for v in values]
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _pivot(rows: list[list[int]], r: int, col: int) -> None:
+    """Clear column col from every row but r, fraction-free: with p =
+    rows[r][col] made positive, row i becomes p.row_i - rows[i][col].row_r
+    divided by its gcd, so the scale of each row stays positive."""
+    pivot = rows[r]
+    p = pivot[col]
+    if p < 0:
+        pivot = rows[r] = [-v for v in pivot]
+        p = -p
+    for i, row in enumerate(rows):
+        f = row[col]
+        if f and i != r:
+            row = [p * u - f * v for u, v in zip(row, pivot)]
+            g = math.gcd(*row)
+            rows[i] = [u // g for u in row] if g > 1 else row
+
+
+def _gauss_jordan(rows: list[list[int]]) -> bool:
+    """Reduce integer rows in place until row k has, of the first len(rows)
+    columns, a positive entry in column k only; False when those are singular."""
+    for k in range(len(rows)):
+        r = next((i for i in range(k, len(rows)) if rows[i][k]), None)
+        if r is None:
+            return False
+        rows[k], rows[r] = rows[r], rows[k]
+        _pivot(rows, k, k)
+    return True
 
 
 @dataclass
@@ -112,61 +150,48 @@ def solve_lp(
     """min c.x subject to A x = b, x >= 0 (A is m x n)."""
     m = len(a)
     n = len(a[0]) if m else len(c)
-    work = _frac_rows(a)
-    rhs = [Fraction(v) for v in b]
-    flips = [1] * m
-    for i in range(m):
-        if rhs[i] < 0:
-            work[i] = [-v for v in work[i]]
-            rhs[i] = -rhs[i]
-            flips[i] = -1
+    # each row (A_i | b_i) over integers, negated when b_i < 0
+    scaled = [_scaled([*row, rhs]) for row, rhs in zip(a, b)]
+    flips = [-1 if ints[-1] < 0 else 1 for ints, _ in scaled]
+    work = [[f * v for v in ints] for f, (ints, _) in zip(flips, scaled)]
 
-    # tableau columns: n structural + m artificial
-    tab = [work[i] + [Fraction(j == i) for j in range(m)] + [rhs[i]] for i in range(m)]
+    # tableau columns: n structural + m artificial + rhs; row i stands for
+    # tab[i] / tab[i][basis[i]], its basic entry being its positive denominator
+    tab = [row[:n] + [den * (j == i) for j in range(m)] + row[n:]
+           for i, (row, (_, den)) in enumerate(zip(work, scaled))]
     basis = [n + i for i in range(m)]
-    total = n + m
 
-    def pivot(row: int, col: int) -> None:
-        inv = 1 / tab[row][col]
-        tab[row] = [v * inv if v else v for v in tab[row]]
-        for i in range(m):
-            if i != row and tab[i][col] != 0:
-                tab[i] = _minus_multiple(tab[i], tab[i][col], tab[row])
-        basis[row] = col
-
-    class _Unbounded(Exception):
-        pass
-
-    def run(cost: Row, allowed: int) -> None:
-        # reduced costs cost_j - c_B.B^-1 A_j of the first `allowed` columns,
-        # zero on basic ones, updated by each pivot rather than re-priced
-        reduced = cost[:allowed]
-        for i, j in enumerate(basis):
-            if cost[j] != 0:
-                reduced = _minus_multiple(reduced, cost[j], tab[i])
+    def run(cost: list[int]) -> bool:
+        """Bland's rule on the first len(cost) columns; False when unbounded.
+        The reduced costs (up to a positive factor) ride as row m of tab."""
+        scale = math.lcm(*(tab[i][j] for i, j in enumerate(basis) if cost[j]))
+        reduced = [scale * v for v in cost]
+        for row, j in zip(tab, basis):
+            if cost[j]:
+                f = cost[j] * (scale // row[j])
+                reduced = [u - f * v for u, v in zip(reduced, row)]
+        tab.append(reduced)
         while True:
             # Bland: the smallest index with a negative reduced cost
-            entering = next((j for j, r in enumerate(reduced) if r < 0), None)
+            entering = next((j for j, r in enumerate(tab[m]) if r < 0), None)
             if entering is None:
-                return
-            ratios = [
-                (tab[i][total] / tab[i][entering], basis[i], i)
-                for i in range(m)
-                if tab[i][entering] > 0
-            ]
-            if not ratios:
-                raise _Unbounded()
-            _, _, row = min(ratios)
-            pivot(row, entering)
-            reduced = _minus_multiple(reduced, reduced[entering], tab[row])
+                tab.pop()
+                return True
+            # ratio test: least rhs_i / a_ie over a_ie > 0, ties to the
+            # smaller basic column, by exact cross-multiplication
+            row = None
+            for i in range(m):
+                a_ie = tab[i][entering]
+                if a_ie > 0 and (row is None or (tab[i][-1] * tab[row][entering], basis[i])
+                                 < (tab[row][-1] * a_ie, basis[row])):
+                    row = i
+            if row is None:
+                return False
+            _pivot(tab, row, entering)
+            basis[row] = entering
 
-    phase1 = [Fraction(0)] * n + [Fraction(1)] * m
-    try:
-        run(phase1, total)
-    except _Unbounded:  # cannot happen: phase-1 objective bounded below by 0
-        return LPResult("infeasible")
-    p1 = sum((phase1[j] * tab[i][total] for i, j in enumerate(basis)), Fraction(0))
-    if p1 > 0:
+    # phase 1 is bounded below by 0; the artificials must all reach 0
+    if not run([0] * n + [1] * m) or any(j >= n and r[-1] > 0 for r, j in zip(tab, basis)):
         return LPResult("infeasible")
     # drive artificials out of the basis or drop redundant rows
     row_ids = list(range(m))
@@ -177,37 +202,30 @@ def solve_lp(
             if col is None:
                 drop.append(i)
             else:
-                pivot(i, col)
+                _pivot(tab, i, col)
+                basis[i] = col
     for i in sorted(drop, reverse=True):
-        del tab[i]
-        del basis[i]
-        del row_ids[i]
+        del tab[i], basis[i], row_ids[i]
     m = len(tab)
+    # every basic column is structural now, so phase 2 drops the artificials
+    tab = [row[:n] + row[-1:] for row in tab]
 
-    cost = [Fraction(v) for v in c] + [Fraction(0)] * (total - n)
-    try:
-        run(cost, n)
-    except _Unbounded:
+    c_int, c_den = _scaled(c)
+    if not run(c_int):
         return LPResult("unbounded")
 
     x = [Fraction(0)] * n
-    for i, j in enumerate(basis):
-        if j < n:
-            x[j] = tab[i][total]
-    obj = sum((Fraction(ci) * xi for ci, xi in zip(c, x)), Fraction(0))
-    # duals: solve B^T y = c_B over the kept rows of the original matrix
-    # (flips cancel: flips * work = original); dropped redundant rows get
-    # multiplier zero
-    bt_rows = [
-        [flips[row_ids[i]] * work[row_ids[i]][j] for i in range(m)] for j in basis
-    ]
-    cb = [Fraction(c[j]) for j in basis]
-    y_kept = solve_square(bt_rows, cb) if m else []
+    for row, j in zip(tab, basis):
+        x[j] = Fraction(row[-1], row[j])
+    obj = sum((Fraction(c[j]) * x[j] for j in basis), Fraction(0))
+    # duals: the unique y with B^T y = c_B over the kept rows of A, row r of A
+    # being work[r] / (flips[r] den_r); dropped redundant rows get zero
+    system = [[work[r][j] for r in row_ids] + [c_int[j]] for j in basis]
     duals: Optional[Row] = None
-    if y_kept is not None:
+    if _gauss_jordan(system):
         duals = [Fraction(0)] * len(flips)
-        for i in range(m):
-            duals[row_ids[i]] = y_kept[i]
+        for k, (r, eq) in enumerate(zip(row_ids, system)):
+            duals[r] = Fraction(flips[r] * scaled[r][1] * eq[m], eq[k] * c_den)
     return LPResult("optimal", x, obj, duals, list(basis), row_ids)
 
 
@@ -274,20 +292,19 @@ class _OptimalBasis:
     rows: list[int]
     kept: list[int]
     vertex: Row
-    # the inverse of [rows[k][i]] (i kept, k in B) as an integer matrix and
-    # a positive common denominator, built on the first reuse
+    # built on the first reuse, as (integers, positive denominator): the inverse
+    # of [R_k[i]] (i kept, k in B) over the integer rows R_k, and the vertex
     inverse: Optional[tuple[list[list[int]], int]] = None
+    vertex_int: Optional[tuple[list[int], int]] = None
 
 
-def _integer_inverse(square: list[Row]) -> tuple[list[list[int]], int]:
-    """The inverse of a nonsingular matrix as (integer matrix, denominator)."""
+def _integer_inverse(square: list[list[int]]) -> tuple[list[list[int]], int]:
+    """The inverse of a nonsingular integer matrix as (integers, denominator)."""
     n = len(square)
-    reduced, _ = rref(
-        [row + [Fraction(i == j) for j in range(n)] for i, row in enumerate(square)]
-    )
-    inverse = [row[n:] for row in reduced]
-    scale = math.lcm(*(v.denominator for row in inverse for v in row))
-    return [[int(v * scale) for v in row] for row in inverse], scale
+    reduced = [row + [int(i == j) for j in range(n)] for i, row in enumerate(square)]
+    _gauss_jordan(reduced)
+    scale = math.lcm(*(row[k] for k, row in enumerate(reduced)))
+    return [[v * (scale // row[k]) for v in row[n:]] for k, row in enumerate(reduced)], scale
 
 
 class Polyhedron:
@@ -301,6 +318,8 @@ class Polyhedron:
     ):
         self.rows = _frac_rows(rows)
         self.rhs = [Fraction(1)] * len(rows) if rhs is None else [Fraction(v) for v in rhs]
+        # row k and rhs[k] over integers, (R_k | h_k) = s_k (rows[k] | rhs[k])
+        self._scaled = [_scaled(row + [h]) for row, h in zip(self.rows, self.rhs)]
         self._bases: list[_OptimalBasis] = []
 
     def support(self, c: Sequence[Fraction]) -> tuple[Fraction, Optional[Row], Row]:
@@ -309,9 +328,7 @@ class Polyhedron:
         when a cached basis answered and its vertex may not be the only
         maximizer; re-solve with `support_function` for that one."""
         c = [Fraction(v) for v in c]
-        # c over a common denominator, for the sign test of the multipliers
-        den = math.lcm(*(v.denominator for v in c))
-        c_int = [v.numerator * (den // v.denominator) for v in c]
+        c_int, den = _scaled(c)  # c = c_int / den
         for basis in self._bases:
             found = self._reuse(basis, c, c_int, den)
             if found is not None:
@@ -323,33 +340,35 @@ class Polyhedron:
     def _reuse(
         self, basis: _OptimalBasis, c: Row, c_int: list[int], den: int
     ) -> Optional[tuple[Fraction, Optional[Row], Row]]:
+        scaled = [self._scaled[k] for k in basis.rows]
         if basis.inverse is None:
-            basis.inverse = _integer_inverse(
-                [[self.rows[k][i] for k in basis.rows] for i in basis.kept]
-            )
+            basis.inverse = _integer_inverse([[r[i] for r, _ in scaled] for i in basis.kept])
+            basis.vertex_int = _scaled(basis.vertex)
         inverse, scale = basis.inverse
+        # l_B = S_B M^-1 c over M = [R_k[i]], S_B = diag(s_k): l_k = s_k
+        # sums_k / (scale den), so sign(l_k) = sign(sums_k)
         sums = []
         for row in inverse:
             s = sum(a * c_int[i] for a, i in zip(row, basis.kept))
             if s < 0:
                 return None
             sums.append(s)
-        lam_b = [Fraction(s, scale * den) for s in sums]
-        for i in range(len(c)):
-            if _dot(lam_b, [self.rows[k][i] for k in basis.rows]) != c[i]:
+        # sum_k l_k rows[k] = sum_k sums_k R_k / (scale den) = c, coordinatewise
+        for i, ci in enumerate(c_int):
+            if sum(s * r[i] for s, (r, _) in zip(sums, scaled)) != scale * ci:
                 return None
-        value = _dot(lam_b, [self.rhs[k] for k in basis.rows])
-        if value != _dot(c, basis.vertex):
-            raise ArithmeticError(
-                f"cached basis {basis.rows} fails rhs_B.l_B = c.v for c = {c}"
-            )
+        # rhs_B.l_B = sum_k sums_k h_k / (scale den) against c.v
+        total = sum(s * r[-1] for s, (r, _) in zip(sums, scaled))
+        v_int, v_den = basis.vertex_int
+        if total * v_den != scale * sum(ci * vi for ci, vi in zip(c_int, v_int)):
+            raise ArithmeticError(f"cached basis {basis.rows} fails rhs_B.l_B = c.v for c = {c}")
         lam = [Fraction(0)] * len(self.rows)
-        for k, l in zip(basis.rows, lam_b):
-            lam[k] = l
+        for k, s, (_, s_k) in zip(basis.rows, sums, scaled):
+            lam[k] = Fraction(s_k * s, scale * den)
         # all coordinates kept and every l_k > 0: the rows of B are tight at
         # every maximizer and determine it, so v is the only one
-        unique = len(basis.kept) == len(c) and all(l > 0 for l in lam_b)
-        return value, list(basis.vertex) if unique else None, lam
+        unique = len(basis.kept) == len(c) and all(sums)
+        return Fraction(total, scale * den), list(basis.vertex) if unique else None, lam
 
 
 def max_min_over_simplex(columns: Sequence[Sequence[Fraction]]) -> Fraction:

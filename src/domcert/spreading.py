@@ -48,6 +48,8 @@ class SubseqSpec:
     prefix: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        if self.kind not in ("identity", "affine", "explicit"):
+            raise SpreadingError(f"unknown subsequence kind {self.kind!r}")
         prev = (0,) + self.prefix
         if self.start < 1 or self.step < 1 or any(a >= b for a, b in zip(prev, self.prefix)):
             raise SpreadingError(
@@ -62,14 +64,13 @@ class SubseqSpec:
             return n
         if self.kind == "affine":
             return self.start + self.step * (n - 1)
-        if self.kind == "explicit":
-            if n <= len(self.prefix):
-                return self.prefix[n - 1]
-            if not self.prefix:
-                return n
-            k = n - len(self.prefix)
-            return self.prefix[-1] + self.step * k
-        raise SpreadingError(f"unknown subsequence kind {self.kind!r}")
+        # "explicit", the only kind left: __post_init__ rejects any other
+        if n <= len(self.prefix):
+            return self.prefix[n - 1]
+        if not self.prefix:
+            return n
+        k = n - len(self.prefix)
+        return self.prefix[-1] + self.step * k
 
     @staticmethod
     def parse(text: str) -> "SubseqSpec":

@@ -237,6 +237,36 @@ class TestTransferGolden:
         assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
 
 
+class TestWitnessGolden:
+    """stdout and exit code of `dominate exact` on the signed and the
+    orthant route, both with a witness field, and of one `transfer block`
+    certificate, recorded from the `Fraction` simplex that the integer
+    tableau replaced: the witness is the vertex the pivot path reaches."""
+
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            (
+                "dominate_exact_signed",
+                ["dominate", "exact", "dominate_signed_xs.json", "dominate_signed_ys.json"],
+            ),
+            (
+                "dominate_exact_orthant",
+                ["dominate", "exact", "dominate_orthant_xs.json", "dominate_orthant_ys.json"],
+            ),
+            (
+                "transfer_block_s1",
+                ["transfer", "block", "transfer_block_s1_blocks.json", "--target", "S[1]"],
+            ),
+        ],
+        ids=["dominate-signed", "dominate-orthant", "transfer-block"],
+    )
+    def test_byte_identical(self, capsys, name, argv):
+        argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in argv]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
+
+
 class TestDominateCli:
     def test_exact(self, capsys):
         code, out = run(capsys, "dominate", "exact", "basis:L1:2", "basis:C0:2")

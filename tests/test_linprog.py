@@ -4,7 +4,9 @@ max-min built on them."""
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
+from typing import Optional, Sequence
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from domcert import linprog
 from domcert.domination import _support_function_nonneg
 from domcert.linprog import (
+    LPResult,
     Polyhedron,
     max_min_over_simplex,
     solve_lp,
@@ -61,6 +64,172 @@ class TestSolveLp:
         assert res.status == "optimal"
         assert res.x == [2, 0] and res.objective == 2
         assert res.duals == [1, 0]
+
+
+# The Fraction simplex that the integer tableau of `solve_lp` replaced, kept
+# verbatim as the oracle of the differential test below: the two must make
+# the same pivots, so every field of their results agrees.
+
+Row = list[Fraction]
+
+
+def _frac_rows(rows):
+    return [[Fraction(v) for v in row] for row in rows]
+
+
+def _minus_multiple(u: Row, f: Fraction, v: Row) -> Row:
+    """u - f v over the length of u, skipping the zero entries of v."""
+    return [a - f * b if b else a for a, b in zip(u, v)]
+
+
+def oracle_solve_lp(
+    a: Sequence[Sequence[Fraction]],
+    b: Sequence[Fraction],
+    c: Sequence[Fraction],
+) -> LPResult:
+    """min c.x subject to A x = b, x >= 0 (A is m x n)."""
+    m = len(a)
+    n = len(a[0]) if m else len(c)
+    work = _frac_rows(a)
+    rhs = [Fraction(v) for v in b]
+    flips = [1] * m
+    for i in range(m):
+        if rhs[i] < 0:
+            work[i] = [-v for v in work[i]]
+            rhs[i] = -rhs[i]
+            flips[i] = -1
+
+    # tableau columns: n structural + m artificial
+    tab = [work[i] + [Fraction(j == i) for j in range(m)] + [rhs[i]] for i in range(m)]
+    basis = [n + i for i in range(m)]
+    total = n + m
+
+    def pivot(row: int, col: int) -> None:
+        inv = 1 / tab[row][col]
+        tab[row] = [v * inv if v else v for v in tab[row]]
+        for i in range(m):
+            if i != row and tab[i][col] != 0:
+                tab[i] = _minus_multiple(tab[i], tab[i][col], tab[row])
+        basis[row] = col
+
+    class _Unbounded(Exception):
+        pass
+
+    def run(cost: Row, allowed: int) -> None:
+        # reduced costs cost_j - c_B.B^-1 A_j of the first `allowed` columns,
+        # zero on basic ones, updated by each pivot rather than re-priced
+        reduced = cost[:allowed]
+        for i, j in enumerate(basis):
+            if cost[j] != 0:
+                reduced = _minus_multiple(reduced, cost[j], tab[i])
+        while True:
+            # Bland: the smallest index with a negative reduced cost
+            entering = next((j for j, r in enumerate(reduced) if r < 0), None)
+            if entering is None:
+                return
+            ratios = [
+                (tab[i][total] / tab[i][entering], basis[i], i)
+                for i in range(m)
+                if tab[i][entering] > 0
+            ]
+            if not ratios:
+                raise _Unbounded()
+            _, _, row = min(ratios)
+            pivot(row, entering)
+            reduced = _minus_multiple(reduced, reduced[entering], tab[row])
+
+    phase1 = [Fraction(0)] * n + [Fraction(1)] * m
+    try:
+        run(phase1, total)
+    except _Unbounded:  # cannot happen: phase-1 objective bounded below by 0
+        return LPResult("infeasible")
+    p1 = sum((phase1[j] * tab[i][total] for i, j in enumerate(basis)), Fraction(0))
+    if p1 > 0:
+        return LPResult("infeasible")
+    # drive artificials out of the basis or drop redundant rows
+    row_ids = list(range(m))
+    drop: list[int] = []
+    for i in range(m):
+        if basis[i] >= n:
+            col = next((j for j in range(n) if tab[i][j] != 0), None)
+            if col is None:
+                drop.append(i)
+            else:
+                pivot(i, col)
+    for i in sorted(drop, reverse=True):
+        del tab[i]
+        del basis[i]
+        del row_ids[i]
+    m = len(tab)
+
+    cost = [Fraction(v) for v in c] + [Fraction(0)] * (total - n)
+    try:
+        run(cost, n)
+    except _Unbounded:
+        return LPResult("unbounded")
+
+    x = [Fraction(0)] * n
+    for i, j in enumerate(basis):
+        if j < n:
+            x[j] = tab[i][total]
+    obj = sum((Fraction(ci) * xi for ci, xi in zip(c, x)), Fraction(0))
+    # duals: solve B^T y = c_B over the kept rows of the original matrix
+    # (flips cancel: flips * work = original); dropped redundant rows get
+    # multiplier zero
+    bt_rows = [
+        [flips[row_ids[i]] * work[row_ids[i]][j] for i in range(m)] for j in basis
+    ]
+    cb = [Fraction(c[j]) for j in basis]
+    y_kept = solve_square(bt_rows, cb) if m else []
+    duals: Optional[Row] = None
+    if y_kept is not None:
+        duals = [Fraction(0)] * len(flips)
+        for i in range(m):
+            duals[row_ids[i]] = y_kept[i]
+    return LPResult("optimal", x, obj, duals, list(basis), row_ids)
+
+
+def random_lp(seed):
+    """A seeded small LP, min c.x subject to A x = b, x >= 0.  Entries come
+    from a short list, so that ratio tests tie and vertices are degenerate;
+    b takes negative values, the rows the simplex negates; one row may be a
+    combination of two others, consistent (a row phase 1 drops) or not (an
+    infeasible system); costs of either sign make some LPs unbounded."""
+    rng = random.Random(seed)
+    m, n = rng.randint(1, 4), rng.randint(1, 6)
+    entries = [F(v) for v in (-2, -1, 0, 0, 0, 1, 1, 2)] + [F(1, 2), F(-3, 2), F(2, 3)]
+    a = [[rng.choice(entries) for _ in range(n)] for _ in range(m)]
+    b = [rng.choice([F(-2), F(-1), F(0), F(0), F(1), F(2), F(1, 3)]) for _ in range(m)]
+    if rng.random() < 0.4:
+        i, j = rng.randrange(m), rng.randrange(m)
+        f, g = rng.choice([F(1), F(-1), F(2), F(1, 2)]), rng.choice([F(0), F(1), F(-1)])
+        a.append([f * u + g * v for u, v in zip(a[i], a[j])])
+        b.append(f * b[i] + g * b[j] + rng.choice([F(0), F(0), F(0), F(1)]))
+    c = [rng.choice([F(-1), F(0), F(0), F(1), F(2), F(-1, 2)]) for _ in range(n)]
+    return a, b, c
+
+
+class TestKernelDifferential:
+    @given(st.integers(0, 2**32))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_fraction_oracle(self, seed):
+        a, b, c = random_lp(seed)
+        # status, x, objective, duals, basis and kept, field by field
+        assert solve_lp(a, b, c) == oracle_solve_lp(a, b, c)
+
+    def test_draws_reach_every_path(self):
+        seen = Counter()
+        for seed in range(300):
+            a, b, c = random_lp(seed)
+            res = oracle_solve_lp(a, b, c)
+            seen[res.status] += 1
+            seen["negative b"] += any(v < 0 for v in b)
+            if res.status == "optimal":
+                seen["dropped row"] += len(res.kept) < len(a)
+                seen["degenerate vertex"] += any(res.x[j] == 0 for j in res.basis)
+        paths = ("optimal", "infeasible", "unbounded", "negative b", "dropped row",
+                 "degenerate vertex")
+        assert all(seen[p] >= 10 for p in paths), seen
 
 
 class TestSupportFunction:

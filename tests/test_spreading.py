@@ -133,6 +133,11 @@ class TestSubseqSpec:
         with pytest.raises(SpreadingError):
             SubseqSpec(*spec)
 
+    @pytest.mark.parametrize("kind", ["bogus", "", "Identity"])
+    def test_rejects_an_unknown_kind_at_construction(self, kind):
+        with pytest.raises(SpreadingError, match="unknown subsequence kind"):
+            SubseqSpec(kind)
+
     @pytest.mark.parametrize("text", ["affine(5,0)", "9,3", "affine(1,0)", "affine(0,2)"])
     def test_parse_rejects_maps_that_are_not_subsequences(self, text):
         with pytest.raises(SpreadingError):
