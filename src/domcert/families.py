@@ -258,27 +258,28 @@ def members_within(
     Hereditary families are prefix closed when viewed as increasing
     sequences, so a depth-first extension search with one membership test
     per candidate finds exactly the members, () first and each member before
-    its extensions.  Explicit literals are filtered in (size, lexicographic)
+    its extensions; it runs on an explicit stack, which leaves no reference
+    cycle behind.  Explicit literals are filtered in (size, lexicographic)
     order.  More than `member_budget` membership tests raise BudgetError.
     """
     if isinstance(fam, Explicit):
         pool = set(universe)
         return [f for f in sorted(fam.members, key=_size_lex) if all(x in pool for x in f)]
     out: list[FinSet] = [()]
+    stack: list[tuple[FinSet, int]] = [((), 0)]  # (member, position of its next candidate)
     tests = 0
-
-    def extend(prefix: FinSet, start: int) -> None:
-        nonlocal tests
-        for k in range(start, len(universe)):
-            cand = prefix + (universe[k],)
-            tests += 1
-            if tests > member_budget:
-                raise BudgetError("member budget exhausted during enumeration")
-            if fam.member(cand):
-                out.append(cand)
-                extend(cand, k + 1)
-
-    extend((), 0)
+    while stack:
+        prefix, k = stack.pop()
+        if k == len(universe):
+            continue
+        stack.append((prefix, k + 1))
+        cand = prefix + (universe[k],)
+        tests += 1
+        if tests > member_budget:
+            raise BudgetError("member budget exhausted during enumeration")
+        if fam.member(cand):
+            out.append(cand)
+            stack.append((cand, k + 1))
     return out
 
 

@@ -11,6 +11,13 @@ Spaces:
                        consecutive interval systems of the sum of n(I x)).
   C0 / L1 / Lp(p)      classical reference norms.
 
+The X[fam] and Baernstein suprema are branch and bound over prefix-closed
+members, with integer masses: a member F with next free position k is not
+extended once (|F x|_1 + tails[k])**p, tails[k] the l1 mass from position k
+on (p = 1 for X[fam]), cannot beat the best so far.  Its extensions and any
+blocks after them take disjoint masses of total at most that, and
+sum a_i**p <= (sum a_i)**p for a_i >= 0.
+
 Values are returned as `Mag`: rational when the norm is rational-valued,
 otherwise an exact representation of its integer p-th power.  Irrational
 roots only arise for PConvex, Baernstein and Lp with p >= 2; there p must be
@@ -20,11 +27,12 @@ an integer so that p-th powers stay rational.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .families import (
+    Explicit,
     Family,
     FinSet,
     QSchedule,
@@ -104,14 +112,46 @@ class Lp(SpaceSpec):
             raise SpaceError("Lp needs an integer p >= 1")
 
 
-def _combinatorial_norm(fam: Family, x: Vector) -> Fraction:
-    coeffs = dict(x.entries)
-    best = Fraction(0)
-    for f in members_within(fam, x.support):
-        mass = sum((abs(coeffs[i]) for i in f), Fraction(0))
-        if mass > best:
-            best = mass
+def _integer_masses(x: Vector) -> tuple[int, list[int], list[int]]:
+    """One common denominator d of the coefficients, the masses d*|x_i| along
+    the support, and their tails: tails[k] is the mass from position k on."""
+    den = math.lcm(*(c.denominator for _, c in x.entries))
+    masses = [abs(c.numerator) * (den // c.denominator) for _, c in x.entries]
+    tails = list(itertools.accumulate(reversed(masses), initial=0))[::-1]
+    return den, masses, tails
+
+
+def _member_walk(fam: Family, supp: FinSet, masses: list[int], tails: list[int],
+                 root: tuple[FinSet, int, int], p: int, after: list[int], best: int) -> int:
+    """Largest mass(G)**p + after[j] over members G extending the member
+    `root` = (F, mass, k) by points from position k on, j following G's last
+    point, or `best` if none is larger.  A node (F, mass, k) stands for the
+    candidates F + (supp[k'],), k' >= k; tails falls with k, so the module
+    docstring's bound cuts them all once it holds for the first."""
+    stack = [root]
+    while stack:
+        prefix, mass, k = stack.pop()
+        if k == len(supp) or (mass + tails[k]) ** p <= best:
+            continue
+        stack.append((prefix, mass, k + 1))
+        cand = prefix + (supp[k],)
+        if fam.member(cand):
+            best = max(best, (mass + masses[k]) ** p + after[k + 1])
+            stack.append((cand, mass + masses[k], k + 1))
     return best
+
+
+def _combinatorial_norm(fam: Family, x: Vector) -> Fraction:
+    """Largest l1 mass over the members of fam on the support; Explicit
+    literals are not prefix closed, so they are filtered, not walked."""
+    den, masses, tails = _integer_masses(x)
+    supp = x.support
+    if isinstance(fam, Explicit):
+        at = dict(zip(supp, masses))
+        best = max((sum(at[i] for i in f) for f in members_within(fam, supp)), default=0)
+        return Fraction(best, den)
+    best = _member_walk(fam, supp, masses, tails, ((), 0, 0), 1, [0] * len(tails), 0)
+    return Fraction(best, den)
 
 
 def _check_singletons(fam: Family, support: FinSet) -> None:
@@ -125,35 +165,22 @@ def _check_singletons(fam: Family, support: FinSet) -> None:
 
 def _baernstein_power(xi: Ordinal, p: int, q: QSchedule, x: Vector) -> Fraction:
     """Best sum of |F_i x|_1^p over consecutive Schreier(xi) blocks in the
-    support, by dynamic programming left to right.  Skipped points are lost
-    to later blocks, so the state is just the next usable position."""
+    support.  Skipped points are lost to later blocks, so the state is just the
+    next usable position: best_from[i], the best sum within positions i.., is
+    filled from the right.  The walk from i cuts a block F with next free
+    position k once (|F x|_1 + tails[k])**p is at most the best so far: the
+    points F can still take and the blocks after it are disjoint, and a sum of
+    p-th powers of nonnegative masses is at most the p-th power of their sum."""
     fam = Schreier(xi, q)
     supp = x.support
-    coeffs = dict(x.entries)
-
-    @lru_cache(maxsize=None)
-    def best_from(i: int) -> Fraction:
-        if i >= len(supp):
-            return Fraction(0)
-        value = best_from(i + 1)
-
-        def explore(prefix: FinSet, mass: Fraction, last: int):
-            # prefix is a family member; score it, then extend it
-            nonlocal value
-            scored = mass**p + best_from(last + 1)
-            if scored > value:
-                value = scored
-            for j in range(last + 1, len(supp)):
-                cand = prefix + (supp[j],)
-                if fam.member(cand):
-                    explore(cand, mass + abs(coeffs[supp[j]]), j)
-
-        first = (supp[i],)
-        if fam.member(first):
-            explore(first, abs(coeffs[supp[i]]), i)
-        return value
-
-    return best_from(0)
+    den, masses, tails = _integer_masses(x)
+    best_from = [0] * len(tails)
+    for i in range(len(supp) - 1, -1, -1):
+        best_from[i] = best_from[i + 1]
+        if fam.member((supp[i],)):
+            root, first = ((supp[i],), masses[i], i + 1), masses[i] ** p + best_from[i + 1]
+            best_from[i] = _member_walk(fam, supp, masses, tails, root, p, best_from, first)
+    return Fraction(best_from[0], den**p)
 
 
 class TsirelsonEngine:
