@@ -9,11 +9,12 @@ vectors by vertex enumeration of the positive part of the polytope.  The
 polytope is passed in the one LP form `(rows, rhs)`, {a : rows[k].a <= rhs[k]}:
 each right functional row w gives the rows w and -w with right-hand side 1,
 and its positive part is the rows with right-hand side 1 followed by
--e_i <= 0.  One `linprog.Polyhedron` serves all the functionals of a call:
-their values come from its cached optimal bases, so a call runs one simplex
-per distinct optimal vertex, and the witness is the maximizer a fresh
+-e_i <= 0.  Each row system gets one `linprog.Polyhedron`, which answers all
+the left functionals from its cached optimal bases, so it runs one simplex
+per distinct optimal vertex; the witness is the maximizer a fresh
 `support_function` solve gives for the first functional attaining the
-largest value.
+largest value.  A `DominationOracle` builds each distinct orthant row system
+and its polytope once, however many pairs (m, l) pose it.
 
 Certificates assert {(M(F), L(F)) : F in FineSchreier(xi)} is contained in
 the pairing tree T(rho, C) up to a finite depth; verification checks the
@@ -171,9 +172,11 @@ def _unsigned_rows(space: SpaceSpec, vectors: tuple[Vector, ...]) -> list[tuple[
 def domination_constant_exact(
     xs: VectorSequence,
     ys: VectorSequence,
+    memo: Optional[dict] = None,
 ) -> DominationValue:
     """Least C with (x_n) <=_C (y_n), or MAG_INF when the y-side seminorm kills a
-    combination the x-side does not."""
+    combination the x-side does not.  `memo` is a `DominationOracle`'s memo of
+    orthant-route row lists and values; callers outside the oracle omit it."""
     if len(xs) != len(ys):
         raise DominationError("sequences must have equal length")
     t = len(xs)
@@ -188,13 +191,19 @@ def domination_constant_exact(
     ):
         # both sides are 1-unconditional in the coefficients, so the maximum
         # lives on the positive orthant and unsigned functionals suffice
-        y_rows = _unsigned_rows(ys.space, ys.items)
-        x_rows = _unsigned_rows(xs.space, xs.items)
-        return _largest(
-            Polyhedron(*_orthant_system(y_rows, t)),
-            x_rows,
-            lambda c: _support_function_nonneg(y_rows, c)[1],
-        )
+        memo = {} if memo is None else memo
+        for seq in (ys, xs):
+            if (seq.space, seq.items) not in memo:
+                memo[seq.space, seq.items] = _unsigned_rows(seq.space, seq.items)
+        y_rows, x_rows = memo[ys.space, ys.items], memo[xs.space, xs.items]
+        key = (t, tuple(y_rows), tuple(x_rows))
+        if key not in memo:
+            memo[key] = _largest(
+                Polyhedron(*_orthant_system(y_rows, t)),
+                x_rows,
+                lambda c: _support_function_nonneg(y_rows, c)[1],
+            )
+        return memo[key]
 
     rows = _functional_rows(ys.space, ys.items)
 
@@ -431,12 +440,22 @@ def right_dominance_defect(
 
 class DominationOracle:
     """Memoized exact domination checks of rho-subsequences against basis
-    subsequences of the g space."""
+    subsequences of the g space.
+
+    Besides the (m, l) cache, `_memo` keeps, for the orthant route, each side's
+    `_unsigned_rows` list by (space, items) and each value by the row system
+    (t, y rows, x rows).  Many pairs pose the same system: for a basis rho the
+    rows depend only on which subsets of m and of l are family members.  The
+    value and its witness are a pure function of the two row lists, since the
+    `Polyhedron` is built from them alone, so a memoized answer equals a fresh
+    one.  The memo lives as long as the oracle, at most three entries per
+    (m, l) entry."""
 
     def __init__(self, rho: VectorSequence, g_space: SpaceSpec):
         self.rho = rho
         self.g_space = g_space
         self._cache: dict[tuple[FinSet, FinSet], DominationValue] = {}
+        self._memo: dict = {}
 
     def constant(self, m: FinSet, l: FinSet) -> DominationValue:
         key = (m, l)
@@ -445,7 +464,7 @@ class DominationOracle:
             ys = VectorSequence(
                 tuple(Vector.basis(i) for i in l), self.g_space
             )
-            self._cache[key] = domination_constant_exact(xs, ys)
+            self._cache[key] = domination_constant_exact(xs, ys, self._memo)
         return self._cache[key]
 
 

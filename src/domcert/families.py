@@ -238,7 +238,9 @@ def _blocks_cover(member: Callable[[FinSet], bool], f: FinSet, max_blocks: int) 
                 return True
         return False
 
-    return reachable(0, 0)
+    found = reachable(0, 0)
+    del reachable  # empties the closure's cell, which refers to reachable itself
+    return found
 
 
 DEFAULT_ENUM_BOUND = 20

@@ -99,8 +99,10 @@ class Vector:
 
 
 def combine(vectors: Iterable[Vector], coeffs: Iterable[Fraction]) -> Vector:
-    total = Vector()
+    acc: dict[int, Fraction] = {}
     for v, a in zip(vectors, coeffs):
         if a != 0:
-            total = total + v.scale(Fraction(a))
-    return total
+            a = Fraction(a)
+            for i, c in v.entries:
+                acc[i] = acc.get(i, 0) + a * c
+    return Vector(tuple(sorted((i, c) for i, c in acc.items() if c != 0)))

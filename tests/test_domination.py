@@ -3,10 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from domcert import domination
 from domcert.domination import (
     Certificate,
     DominationError,
+    DominationOracle,
     DominationValue,
     VectorSequence,
     basis_sequence,
@@ -492,6 +495,79 @@ class TestGammaBracket:
         bracket = gamma_bracket(rho, from_int(1), 4)
         assert bracket.lower >= 1 and bracket.upper == 1
         assert bracket.certificate is not None
+
+
+MEMO_SPACES = [X1, C0(), L1()]
+
+
+@st.composite
+def oracle_queries(draw):
+    """rho as a basis or as nonnegative disjoint blocks, a g space, and 20-40
+    increasing pairs (m, l) with |m| = |l| <= 5: every call takes the orthant
+    route, and the pairs repeat row systems."""
+    space = draw(st.sampled_from(MEMO_SPACES))
+    length = draw(st.integers(5, 8))
+    if draw(st.booleans()):
+        rho = basis_sequence(space, length)
+    else:
+        blocks, start = [], 1
+        for _ in range(length):
+            width = draw(st.integers(1, 2))
+            coeffs = draw(st.lists(st.fractions(Fraction(1, 4), 3), min_size=width, max_size=width))
+            blocks.append(Vector.of({start + k: c for k, c in enumerate(coeffs)}))
+            start += width
+        rho = VectorSequence(tuple(blocks), space)
+    g_space = draw(st.sampled_from(MEMO_SPACES))
+    pairs = []
+    for _ in range(draw(st.integers(20, 40))):
+        size = draw(st.integers(1, 5))
+        m = draw(st.lists(st.integers(1, length), min_size=size, max_size=size, unique=True))
+        l = draw(st.lists(st.integers(1, 9), min_size=size, max_size=size, unique=True))
+        pairs.append((tuple(sorted(m)), tuple(sorted(l))))
+    return rho, g_space, pairs
+
+
+class TestOracleMemo:
+    """`DominationOracle` shares row lists and values between pairs (m, l)
+    that pose the same orthant row system; each answer must be the fresh one."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(oracle_queries())
+    def test_memoized_answers_equal_fresh_calls(self, query):
+        rho, g_space, pairs = query
+        oracle = DominationOracle(rho, g_space)
+        for m, l in pairs:
+            got = oracle.constant(m, l)
+            ys = VectorSequence(tuple(e(i) for i in l), g_space)
+            fresh = domination_constant_exact(rho.subsequence(m), ys)
+            assert (got.value, got.witness) == (fresh.value, fresh.witness), (m, l)
+
+    @pytest.mark.parametrize(
+        "rho, xi, depth, g_space, bracket, polytopes, row_lists",
+        [
+            # without the memo: 69 polytopes and 138 row lists
+            (basis_sequence(L1(), 4), None, 4, C0(), (4, 4), 8, 40),
+            # without the memo: 59 polytopes and 118 row lists
+            (basis_sequence(X1, 7), from_int(2), 5, None, (1, 1), 8, 30),
+        ],
+        ids=["l1-c0", "x-s1-self"],
+    )
+    def test_bracket_builds_each_row_system_once(
+        self, monkeypatch, rho, xi, depth, g_space, bracket, polytopes, row_lists
+    ):
+        counts = {"polytopes": 0, "row_lists": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(domination, "Polyhedron", counted("polytopes", Polyhedron))
+        monkeypatch.setattr(domination, "_unsigned_rows", counted("row_lists", _unsigned_rows))
+        result = gamma_bracket(rho, xi, depth, g_space=g_space)
+        assert (result.lower, result.upper) == bracket
+        assert counts["polytopes"] <= polytopes and counts["row_lists"] <= row_lists
 
 
 class TestCertificateJson:

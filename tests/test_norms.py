@@ -451,10 +451,18 @@ class TestPrunedWalks:
         assert calls <= bound
 
     def test_walks_leave_no_cyclic_garbage(self):
+        starts = itertools.count(100, 10)  # new sets miss the membership caches
+
+        def new_set():
+            k = next(starts)
+            return (k, k + 1, k + 3, 2 * k, 2 * k + 2, 3 * k)
+
         walks = {
             "members_within": lambda: members_within(S1, tuple(range(1, 8))),
             "X[fam] norm": lambda: norm(parse_space("X[S[2]]"), self.COUNTED),
             "Baernstein table": lambda: norm(Baernstein(from_int(1), 2), self.COUNTED),
+            "NFOLD membership": lambda: NFold(S1, 3).member(new_set()),
+            "S[2] membership": lambda: Schreier(from_int(2)).member(new_set()),
         }
         for walk in walks.values():
             walk()  # first fills of the membership caches go through _blocks_cover

@@ -48,3 +48,10 @@ class TestVector:
         vs = [Vector.basis(1), Vector.basis(2)]
         out = combine(vs, [Fraction(2), Fraction(-1)])
         assert out.coeff(1) == 2 and out.coeff(2) == -1
+        # cancelled entries are dropped, not stored as zeros
+        u = Vector.of({1: 1, 2: Fraction(1, 2), 3: 2})
+        w = Vector.of({2: 1, 3: 4, 5: Fraction(1, 3)})
+        out = combine([u, w, Vector.basis(7)], [2, -1, 0])
+        assert out == Vector.of({1: 2, 5: Fraction(-1, 3)})
+        assert out == u.scale(2) - w
+        assert combine([u, u], [1, -1]) == Vector() and combine([], []) == Vector()
