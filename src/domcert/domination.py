@@ -13,8 +13,9 @@ and its positive part is the rows with right-hand side 1 followed by
 the left functionals from its cached optimal bases, so it runs one simplex
 per distinct optimal vertex; the witness is the maximizer a fresh
 `support_function` solve gives for the first functional attaining the
-largest value.  A `DominationOracle` builds each distinct orthant row system
-and its polytope once, however many pairs (m, l) pose it.
+largest value.  The `DominationOracle`s on one rho object share its tables,
+so each distinct orthant row system and its polytope is built once, however
+many pairs (m, l), searches and re-verifications pose it.
 
 Certificates assert {(M(F), L(F)) : F in FineSchreier(xi)} is contained in
 the pairing tree T(rho, C) up to a finite depth; verification checks the
@@ -30,6 +31,7 @@ import random
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .families import (
@@ -87,6 +89,12 @@ class VectorSequence:
 
     def __len__(self) -> int:
         return len(self.items)
+
+    @cached_property
+    def _domination_tables(self) -> dict:
+        """`DominationOracle` tables by g space; they hold no reference to
+        this sequence, so they die with it."""
+        return {}
 
     def subsequence(self, indices: FinSet) -> "VectorSequence":
         vecs = tuple(self.items[i - 1] for i in indices)
@@ -448,14 +456,14 @@ class DominationOracle:
     rows depend only on which subsets of m and of l are family members.  The
     value and its witness are a pure function of the two row lists, since the
     `Polyhedron` is built from them alone, so a memoized answer equals a fresh
-    one.  The memo lives as long as the oracle, at most three entries per
-    (m, l) entry."""
+    one.  Both tables belong to rho: every oracle on the same rho object and
+    g space shares them, so a re-verification after a search solves nothing
+    anew, and they live exactly as long as rho."""
 
     def __init__(self, rho: VectorSequence, g_space: SpaceSpec):
         self.rho = rho
         self.g_space = g_space
-        self._cache: dict[tuple[FinSet, FinSet], DominationValue] = {}
-        self._memo: dict = {}
+        self._cache, self._memo = rho._domination_tables.setdefault(g_space, ({}, {}))
 
     def constant(self, m: FinSet, l: FinSet) -> DominationValue:
         key = (m, l)
@@ -489,7 +497,7 @@ class Certificate:
         if len(self.M) != len(self.L):
             raise DominationError("|M| and |L| must agree")
         if self.C < 0:
-            raise DominationError("C must be positive")
+            raise DominationError("C must be nonnegative")
 
     @property
     def depth(self) -> int:
@@ -768,9 +776,10 @@ def gamma_bracket(
     smallest killing constant).  Bounds are statements about the finite
     index box only, as recorded in the budget report.
     """
-    g_space = g_space or rho.space
-    oracle = DominationOracle(rho, g_space)
     resolution = Fraction(resolution)
+    if resolution <= 0:
+        raise DominationError("resolution must be positive")
+    g_space = g_space or rho.space
     budget = {"nodes": 0, "l_max": l_max if l_max is not None else max(len(rho), depth)}
 
     lower = Fraction(0)
@@ -784,7 +793,7 @@ def gamma_bracket(
             return SearchOutcome("budget")
         out = search_certificate(
             rho, xi, c_val, depth, g_space, q, l_max,
-            node_budget=remaining, time_budget=time_budget, oracle=oracle,
+            node_budget=remaining, time_budget=time_budget,
         )
         budget["nodes"] += out.nodes
         return out
@@ -793,7 +802,7 @@ def gamma_bracket(
         """Update the bracket; False when the budget ran dry."""
         nonlocal lower, upper, cert, lower_witness
         if out.status == "found":
-            report = verify_certificate(out.certificate, rho, q, oracle)
+            report = verify_certificate(out.certificate, rho, q)
             worst = report.worst_ratio
             new_upper = Mag.of(c_val)
             if worst.is_rational:

@@ -200,12 +200,24 @@ def exact_spreading_combinatorial(
     """
     if m < 1 or len(a) != m:
         raise SpreadingError("need m >= 1 coefficients")
+    cap, stage = _tail_stage(xi, subseq, m, q)
+    return ExactSpreadingResult(_top_mass(a, cap), stage, stage is not None)
+
+
+def _top_mass(a: Sequence[Fraction], cap: int) -> Mag:
+    ordered = sorted((abs(Fraction(v)) for v in a), reverse=True)
+    return Mag.of(sum(ordered[:cap], Fraction(0)))
+
+
+def _tail_stage(
+    xi: Ordinal, subseq: SubseqSpec, m: int, q: QSchedule
+) -> tuple[int, Optional[int]]:
+    """The number cap of coefficients that count in the limit, and a stage
+    past a witness set of each size up to cap (None when the scan finds
+    none); both are independent of the coefficients."""
     fam = Schreier(xi, q)
-    coeffs = [abs(Fraction(v)) for v in a]
     bound = family_cardinality_bound(fam)
     cap = m if bound is None else min(m, bound)
-    ordered = sorted(coeffs, reverse=True)
-    value = sum(ordered[:cap], Fraction(0))
 
     # find a witness set of each needed size, then a stage past its maximum
     witness_max = 0
@@ -219,12 +231,12 @@ def exact_spreading_combinatorial(
                     break
             n *= 2
         if found is None:
-            return ExactSpreadingResult(Mag.of(value), None, False)
+            return cap, None
         witness_max = max(witness_max, found[-1])
     stage = 1
     while subseq(2 * stage) <= witness_max and stage <= SCAN_BOUND:
         stage += 1
-    return ExactSpreadingResult(Mag.of(value), stage, True)
+    return cap, stage
 
 
 @dataclass
@@ -258,15 +270,16 @@ def exact_table(
     q: QSchedule = Q_DEFAULT,
 ) -> SpreadingTable:
     values = {}
-    threshold = 0
+    tail = None
     for p in map(tuple, probes):
-        res = exact_spreading_combinatorial(xi, subseq, m, p, q)
-        if not res.stable:
+        if m < 1 or len(p) != m:
+            raise SpreadingError("need m >= 1 coefficients")
+        cap, stage = tail = tail or _tail_stage(xi, subseq, m, q)
+        if stage is None:
             raise SpreadingError("tail stability not detected")
-        values[p] = res.value
-        threshold = max(threshold, res.stability_threshold or 0)
+        values[p] = _top_mass(p, cap)
     return SpreadingTable(
-        m, threshold, tuple(map(tuple, probes)), values, True
+        m, tail[1] if tail else 0, tuple(map(tuple, probes)), values, True
     )
 
 
@@ -322,25 +335,19 @@ def check_main2_bridge(
     out = search_certificate(
         rho, OMEGA, C, depth, g_space, q, node_budget=500_000
     )
+    # both directions read the same stages of rho's estimated table
+    stages = [s for s in (1, 2, 3) if s * 2**m <= len(rho)]
+    est = estimate_spreading(
+        rho.space, lambda n: rho.items[n - 1], SubseqSpec(), m, stages, probes
+    )
     if out.status != "found":
         report_a = {"pass": False, "reason": f"no certificate at C={C} ({out.status})"}
     else:
         cert = out.certificate
-        stages_ok = [s for s in (1, 2, 3) if cert.M and max(
-            s * 2**n for n in range(1, m + 1)
-        ) <= len(rho)]
-        if len(stages_ok) < 2:
+        if len(stages) < 2:
             report_a = {"pass": False, "reason": "rho prefix too short for stages"}
             inconclusive = True
         else:
-            est = estimate_spreading(
-                rho.space,
-                lambda n: rho.items[n - 1],
-                SubseqSpec(),
-                m,
-                stages_ok,
-                probes,
-            )
             g_sub = SubseqSpec("explicit", prefix=cert.L)
             gtab = exact_table(g_xi, g_sub, m, probes, q)
             bound = Mag.of(C)
@@ -359,14 +366,10 @@ def check_main2_bridge(
                 inconclusive = True
 
     # direction (b): table domination + stability implies a certificate
-    stages = [s for s in (1, 2, 3) if s * 2**m <= len(rho)]
     if len(stages) < 2:
         report_b = {"pass": False, "reason": "rho prefix too short for stability"}
         inconclusive = True
     else:
-        est = estimate_spreading(
-            rho.space, lambda n: rho.items[n - 1], SubseqSpec(), m, stages, probes
-        )
         gtab = exact_table(g_xi, SubseqSpec(), m, probes, q)
         if not est.stable:
             report_b = {"pass": False, "reason": "stage stability not reached"}

@@ -154,6 +154,14 @@ class TestCertifyCli:
         data = json.loads(out)
         assert data["lower"] == "3" and data["upper"] == "3"
 
+    def test_bracket_nonpositive_resolution_exit_one(self, capsys):
+        code, out = run(
+            capsys,
+            "certify", "bracket", "basis:X[S[1]]:5",
+            "--xi", "1", "--depth", "3", "--resolution", "-1", "--node-budget", "200",
+        )
+        assert code == 1 and out == ""
+
     def test_bracket_infinite_upper(self, capsys, tmp_path):
         # no certificate exists below the probe cap 2^16, so upper stays inf
         rho = {"space": "L1", "vectors": [{"entries": [[1, "1000000"]]}, {"entries": [[2, "1000000"]]}]}
@@ -235,6 +243,19 @@ class TestTransferGolden:
         argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in argv]
         assert main(argv) == code
         assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
+
+
+class TestBridgeGolden:
+    """stdout of `spread bridge` at seeds 0 and 1, recorded when each
+    direction estimated rho's spreading table on its own."""
+
+    def test_byte_identical(self, capsys):
+        out = ""
+        for seed in ("0", "1"):
+            argv = ["spread", "bridge", "basis:X[S[1]]:24", "--depth", "5", "--seed", seed]
+            assert main(argv) == 0
+            out += capsys.readouterr().out
+        assert out == (GOLDEN / "spread_bridge.out").read_text()
 
 
 class TestWitnessGolden:

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -496,6 +498,13 @@ class TestGammaBracket:
         assert bracket.lower >= 1 and bracket.upper == 1
         assert bracket.certificate is not None
 
+    @pytest.mark.parametrize("resolution", [Fraction(0), Fraction(-1)])
+    def test_nonpositive_resolution_rejected(self, resolution):
+        # once the bounds meet, upper > lower + resolution still holds
+        rho = basis_sequence(X1, 5)
+        with pytest.raises(DominationError, match="resolution"):
+            gamma_bracket(rho, from_int(1), 3, resolution=resolution, node_budget=200)
+
 
 MEMO_SPACES = [X1, C0(), L1()]
 
@@ -570,6 +579,74 @@ class TestOracleMemo:
         assert counts["polytopes"] <= polytopes and counts["row_lists"] <= row_lists
 
 
+class FreshOracle:
+    """Stands in for `DominationOracle`: a fresh exact call per member."""
+
+    def __init__(self, rho: VectorSequence, g_space):
+        self.rho, self.g_space = rho, g_space
+
+    def constant(self, m, l):
+        ys = VectorSequence(tuple(e(i) for i in l), self.g_space)
+        return domination_constant_exact(self.rho.subsequence(m), ys)
+
+
+@st.composite
+def verify_queries(draw):
+    """rho and g space as in `oracle_queries`, and one index pair (M, L)
+    verified at two levels, so the second verify reads the first one's
+    entries."""
+    rho, g_space, _ = draw(oracle_queries())
+    depth = draw(st.integers(1, 4))
+    m = draw(st.lists(st.integers(1, len(rho)), min_size=depth, max_size=depth, unique=True))
+    l = draw(st.lists(st.integers(1, 9), min_size=depth, max_size=depth, unique=True))
+    c = draw(st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(2)]))
+    levels = draw(
+        st.lists(st.sampled_from([None, from_int(0), from_int(1), from_int(2)]), min_size=2, max_size=2)
+    )
+    certs = [Certificate(xi, tuple(sorted(m)), tuple(sorted(l)), c, g_space) for xi in levels]
+    return rho, g_space, certs
+
+
+class TestSharedTables:
+    """Every `DominationOracle` on one rho object and g space shares the
+    tables, which live exactly as long as rho."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(verify_queries())
+    def test_shared_reports_equal_fresh_calls(self, query):
+        rho, g_space, certs = query
+        checked = 0
+        for cert in certs:
+            fresh = verify_certificate(cert, rho, oracle=FreshOracle(rho, g_space))
+            assert verify_certificate(cert, rho) == fresh
+            checked = max(checked, fresh.checked)
+        # each member checked left its pair (m, l) in the tables rho keeps
+        assert len(DominationOracle(rho, g_space)._cache) >= checked
+
+    def test_tables_outlive_the_oracle_and_die_with_rho(self):
+        cert = search_certificate(basis_sequence(X1, 7), from_int(1), Fraction(1), 4).certificate
+        gc.collect()
+        gc.disable()
+        try:
+            rho = basis_sequence(X1, 7)
+            assert verify_certificate(cert, rho).ok
+            cache = DominationOracle(rho, X1)._cache
+            assert len(cache) == verify_certificate(cert, rho).checked
+            ref = weakref.ref(rho)
+            del rho
+            assert ref() is None
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_tables_are_per_g_space(self):
+        rho = basis_sequence(L1(), 3)
+        assert DominationOracle(rho, C0())._cache is DominationOracle(rho, C0())._cache
+        assert DominationOracle(rho, C0())._cache is not DominationOracle(rho, L1())._cache
+        assert DominationOracle(rho, C0()).constant((1, 2), (1, 2)).value == 2
+        assert DominationOracle(rho, L1()).constant((1, 2), (1, 2)).value == 1
+
+
 class TestCertificateJson:
     def test_round_trip(self):
         cert = Certificate(from_int(2), (1, 3), (2, 4), Fraction(3, 2), X1, "rho")
@@ -581,6 +658,13 @@ class TestCertificateJson:
         data = cert.to_json()
         assert data["xi"] == "ALL"
         assert Certificate.from_json(data).xi is None
+
+    def test_zero_constant_accepted(self):
+        assert Certificate(None, (1,), (2,), Fraction(0), C0()).C == 0
+
+    def test_negative_constant_rejected(self):
+        with pytest.raises(DominationError, match="C must be nonnegative"):
+            Certificate(None, (1,), (2,), Fraction(-1), C0())
 
     def test_depth_mismatch_rejected(self):
         cert = Certificate(None, (1,), (2,), Fraction(1), C0(), "r")

@@ -1,11 +1,13 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from domcert.domination import basis_sequence
 from domcert.families import Schreier
 from domcert.norms import C0, Combinatorial, Tsirelson
-from domcert.ordinals import from_int
+from domcert.ordinals import OMEGA, from_int
 from domcert.spreading import (
     SpreadingError,
     SpreadingTable,
@@ -77,6 +79,63 @@ class TestExact:
         for p in probes:
             res = exact_spreading_combinatorial(from_int(1), SubseqSpec(), 3, p)
             assert rep.tables[-1].values[tuple(p)] == res.value
+
+
+@st.composite
+def subseqs(draw):
+    kind = draw(st.sampled_from(["identity", "affine", "explicit"]))
+    if kind == "identity":
+        return SubseqSpec()
+    if kind == "affine":
+        return SubseqSpec("affine", draw(st.integers(1, 9)), draw(st.integers(1, 5)))
+    gaps = draw(st.lists(st.integers(1, 6), max_size=6))
+    return SubseqSpec("explicit", step=draw(st.integers(1, 3)), prefix=tuple(itertools.accumulate(gaps)))
+
+
+@st.composite
+def probe_lists(draw, m):
+    """Up to six probes, most of length m, some one off it."""
+    probes = []
+    for _ in range(draw(st.integers(0, 6))):
+        n = draw(st.sampled_from([m, m, m, m, m + 1, abs(m - 1)]))
+        coeffs = st.fractions(-3, 3, max_denominator=4)
+        probes.append(tuple(draw(st.lists(coeffs, min_size=n, max_size=n))))
+    return probes
+
+
+def per_probe_table(xi, subseq, m, probes):
+    """`exact_table` as one `exact_spreading_combinatorial` call per probe."""
+    values, stage = {}, 0
+    for p in map(tuple, probes):
+        res = exact_spreading_combinatorial(xi, subseq, m, p)
+        if not res.stable:
+            raise SpreadingError("tail stability not detected")
+        values[p] = res.value
+        stage = max(stage, res.stability_threshold)
+    return SpreadingTable(m, stage, tuple(map(tuple, probes)), values, True)
+
+
+def outcome(build, *args):
+    try:
+        return build(*args)
+    except SpreadingError as exc:
+        return ("SpreadingError", str(exc))
+
+
+class TestExactTableDifferential:
+    """`exact_table` scans for witness sets once per table; its values and
+    stage must be those of one exact call per probe, errors included."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from([from_int(0), from_int(1), from_int(2), from_int(3), OMEGA]),
+        subseqs(),
+        st.integers(0, 4).flatmap(lambda m: st.tuples(st.just(m), probe_lists(m))),
+    )
+    def test_one_scan_equals_per_probe_calls(self, xi, subseq, m_probes):
+        m, probes = m_probes
+        got = outcome(exact_table, xi, subseq, m, probes)
+        assert got == outcome(per_probe_table, xi, subseq, m, probes)
 
 
 class TestEquivalence:

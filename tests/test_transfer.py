@@ -7,7 +7,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from domcert import transfer
+from domcert import domination, transfer
 from domcert.domination import (
     Certificate,
     VectorSequence,
@@ -161,6 +161,40 @@ class TestMerge:
         extra = Certificate(from_int(1), (2, 4), (2, 4), Fraction(1), X1, rho.name)
         with pytest.raises(TransferError):
             merge_subsequence_certificates(base, [extra], rho, Fraction(1))
+
+
+class TestSharedTables:
+    """A transformer re-verifies on the rho its input searches ran on, and
+    every oracle on that rho shares its tables, so only pairs (m, l) that no
+    search posed reach `domination_constant_exact`: without the sharing,
+    25 for the sum, 30 for the merge and 6 for the shift."""
+
+    @pytest.mark.parametrize("space", [X1, C0(), L1()], ids=["x-s1", "c0", "l1"])
+    @pytest.mark.parametrize("op, bound", [("sum", 12), ("merge", 0), ("shift", 0)])
+    def test_exact_calls_after_the_searches(self, monkeypatch, space, op, bound):
+        rho = basis_sequence(space, 9)
+        if op == "shift":
+            c1 = _cert(rho, from_int(3), 5)
+        else:
+            first, second = (1, 2) if op == "sum" else (2, 1)
+            c1 = _cert(rho, from_int(first), 5)
+            c2 = _cert(rho, from_int(second), 5, constraint=c1.M)
+        calls = Counter()
+        exact = domination.domination_constant_exact
+
+        def counted(*args):
+            calls["exact"] += 1
+            return exact(*args)
+
+        monkeypatch.setattr(domination, "domination_constant_exact", counted)
+        if op == "shift":
+            assert shift_certificate(c1, rho, from_int(2), 1).verified
+        elif op == "sum":
+            assert sum_combine(c1, c2, rho, Fraction(1)).verified
+        else:
+            res = merge_subsequence_certificates(c1, [c2], rho, Fraction(1))
+            assert all(rep.ok for rep in res.reports)
+        assert calls["exact"] <= bound
 
 
 class TestBlockCertificate:
