@@ -232,7 +232,7 @@ def domination_constant_exact(
         )
 
     if isinstance(xs.space, Lp):
-        return _lp_left_constant(xs, rows)
+        return _lp_left_constant(xs, ys, rows)
 
     raise DominationError(
         f"exact mode needs a polyhedral or disjoint-support Lp left space, got "
@@ -274,19 +274,25 @@ def _support_function_nonneg(
     return value, maximizer
 
 
-def _lp_left_constant(xs: VectorSequence, rows: list[tuple[Fraction, ...]]) -> DominationValue:
+def _lp_left_constant(
+    xs: VectorSequence, ys: VectorSequence, rows: list[tuple[Fraction, ...]]
+) -> DominationValue:
     """Exact max of an l_p norm over the domination polytope.
 
-    Needs pairwise disjoint supports so that |sum a_n x_n|_p^p splits as
-    sum |a_n|^p d_n; then the objective is unconditional and the maximum is
-    attained at a vertex of the positive part {a >= 0, W+ a <= 1}.
+    Needs pairwise disjoint supports on both sides.  On the x side,
+    |sum a_n x_n|_p^p then splits as sum |a_n|^p d_n, so the objective is
+    unconditional.  On the y side, the 1-unconditional right norm makes the
+    polytope symmetric under sign flips of the coordinates, so it is the
+    reflection of its positive part {a >= 0, |W| a <= 1}.  The maximum is
+    then attained at a vertex of that part.
     """
     t = len(xs)
-    seen: set[int] = set()
-    for v in xs.items:
-        if seen & set(v.support):
-            raise DominationError("Lp left side requires pairwise disjoint supports")
-        seen |= set(v.support)
+    for seq, side in ((xs, "x"), (ys, "y")):
+        seen: set[int] = set()
+        for v in seq.items:
+            if seen & set(v.support):
+                raise DominationError(f"Lp left side requires pairwise disjoint {side} supports")
+            seen |= set(v.support)
     p = xs.space.p
     weights = [
         sum((abs(c) ** p for _, c in v.entries), Fraction(0)) for v in xs.items
@@ -648,14 +654,8 @@ def search_certificate(
     m_sel: list[int] = []
     l_sel: list[int] = []
 
-    def note_kill(value: Mag, viol: Violation) -> None:
-        nonlocal kill_bound, kill_witness
-        if kill_bound is None or value < kill_bound:
-            kill_bound = value
-            kill_witness = viol
-
-    def level_ok(k: int) -> Optional[Violation]:
-        for f in by_max[k]:
+    def level_ok() -> Optional[Violation]:
+        for f in by_max[len(m_sel)]:
             m_f = tuple(m_sel[i - 1] for i in f)
             l_f = tuple(l_sel[i - 1] for i in f)
             res = oracle.constant(m_f, l_f)
@@ -663,31 +663,32 @@ def search_certificate(
                 return Violation(f, res.witness, res.value)
         return None
 
-    def descend(k: int) -> bool:
-        nonlocal nodes
-        if k > depth:
-            return True
-        m_start = m_sel[-1] + 1 if m_sel else 1
-        l_start = l_sel[-1] + 1 if l_sel else 1
-        for m in (v for v in m_pool if v >= m_start):
-            for l in range(l_start, l_cap + 1):
+    # levels[k] iterates the candidates (m, l) for position k + 1 after the
+    # choices m_sel[:k], l_sel[:k]: an explicit stack, smallest indices first
+    levels = [itertools.product(m_pool, range(1, l_cap + 1))]
+    try:
+        while levels and len(m_sel) < depth:
+            for m, l in levels[-1]:
                 nodes += 1
                 if nodes > node_budget or time.monotonic() > deadline:
                     raise SearchBudgetError()
                 m_sel.append(m)
                 l_sel.append(l)
-                viol = level_ok(k)
+                viol = level_ok()
                 if viol is None:
-                    if descend(k + 1):
-                        return True
-                else:
-                    note_kill(viol.ratio, viol)
+                    break
+                if kill_bound is None or viol.ratio < kill_bound:
+                    kill_bound, kill_witness = viol.ratio, viol
                 m_sel.pop()
                 l_sel.pop()
-        return False
-
-    try:
-        if descend(1):
+            else:
+                levels.pop()
+                if m_sel:
+                    m_sel.pop()
+                    l_sel.pop()
+                continue
+            levels.append(itertools.product([v for v in m_pool if v > m], range(l + 1, l_cap + 1)))
+        if len(m_sel) == depth:
             cert = Certificate(
                 xi, tuple(m_sel), tuple(l_sel), Fraction(C), g_space, rho.name
             )

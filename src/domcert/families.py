@@ -401,23 +401,24 @@ def find_order_embedding(src: Family, dst: Family, n: int) -> EmbeddingResult:
                 return False
         return True
 
-    def search(k: int) -> bool:
-        nonlocal nodes
-        if k > n:
-            return True
-        start = mapping[-1] + 1 if mapping else 1
-        for v in range(start, 3 * n + 1):
-            nodes += 1
-            if nodes > EMBED_NODE_BUDGET:
-                raise BudgetError("embedding search budget exhausted")
-            mapping.append(v)
-            if ok_at(k) and search(k + 1):
-                return True
-            mapping.pop()
-        return False
-
+    levels = [iter(range(1, 3 * n + 1))]  # explicit stack: images left for each position
     try:
-        if search(1):
+        while levels and len(mapping) < n:
+            for v in levels[-1]:
+                nodes += 1
+                if nodes > EMBED_NODE_BUDGET:
+                    raise BudgetError("embedding search budget exhausted")
+                mapping.append(v)
+                if ok_at(len(mapping)):
+                    break
+                mapping.pop()
+            else:
+                levels.pop()
+                if mapping:
+                    mapping.pop()
+                continue
+            levels.append(iter(range(v + 1, 3 * n + 1)))
+        if len(mapping) == n:
             full = tuple(mapping)
             for f in members:  # verify exhaustively before reporting success
                 image = tuple(full[i - 1] for i in f)

@@ -26,6 +26,7 @@ an integer so that p-th powers stay rational.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -183,6 +184,25 @@ def _baernstein_power(xi: Ordinal, p: int, q: QSchedule, x: Vector) -> Fraction:
     return Fraction(best_from[0], den**p)
 
 
+def _admissible_systems(fam: Family, groups: list, min_parts: int):
+    """The part tuples of the admissible systems over `groups`, a list of
+    (low, [(next_group, part), ...]) by increasing low: one part from each of
+    some groups g_1 < g_2 < ..., each taken at or after the next_group of the
+    part before, whose lows form a member of fam; those with fewer than
+    `min_parts` parts are skipped.  A node (g, lows, parts) stands for its
+    extensions; each set of lows is tested once for all parts of its group,
+    and the walk runs on an explicit stack, which leaves no reference cycle."""
+    stack = [(0, (), ())]
+    while stack:
+        start, lows, parts = stack.pop()
+        if len(parts) >= min_parts:
+            yield parts
+        for low, pieces in groups[start:]:
+            new_lows = lows + (low,)
+            if fam.member(new_lows):
+                stack.extend((nxt, new_lows, parts + (part,)) for nxt, part in pieces)
+
+
 class TsirelsonEngine:
     """Least-fixed-point Tsirelson norm on the interval projections of one
     vector.
@@ -208,37 +228,23 @@ class TsirelsonEngine:
         self.coeffs = dict(x.entries)
         self._value: dict[tuple[int, int], Fraction] = {}
 
-    def _systems(self, i: int, j: int, at_least_two: bool):
-        """Admissible interval systems inside positions [i..j]: sequences of
-        disjoint position intervals whose support minima form a Schreier set."""
-        out: list[list[tuple[int, int]]] = []
-
-        def extend(start: int, chosen: list[tuple[int, int]], mins: FinSet):
-            if chosen and (len(chosen) >= 2 or not at_least_two):
-                out.append(list(chosen))
-            for a in range(start, j + 1):
-                new_mins = mins + (self.supp[a],)
-                if not self.fam.member(new_mins):
-                    continue
-                for b in range(a, j + 1):
-                    chosen.append((a, b))
-                    extend(b + 1, chosen, new_mins)
-                    chosen.pop()
-
-        extend(i, [], ())
-        return out
+    def _operator(self, i: int, j: int, min_parts: int) -> Fraction:
+        """The defining operator on positions [i..j]: the larger of the sup
+        norm and theta times the best sum of values over admissible systems
+        of disjoint position intervals with at least `min_parts` parts."""
+        sup_part = max(abs(self.coeffs[self.supp[k]]) for k in range(i, j + 1))
+        groups = [
+            (self.supp[a], [(b + 1 - i, (a, b)) for b in range(a, j + 1)])
+            for a in range(i, j + 1)
+        ]
+        systems = _admissible_systems(self.fam, groups, min_parts)
+        best = max((sum(itertools.starmap(self.value, s)) for s in systems), default=0)
+        return max(sup_part, self.theta * best)
 
     def value(self, i: int, j: int) -> Fraction:
-        if (i, j) in self._value:
-            return self._value[(i, j)]
-        best = max(abs(self.coeffs[self.supp[k]]) for k in range(i, j + 1))
-        for system in self._systems(i, j, at_least_two=True):
-            total = sum((self.value(a, b) for a, b in system), Fraction(0))
-            cand = self.theta * total
-            if cand > best:
-                best = cand
-        self._value[(i, j)] = best
-        return best
+        if (i, j) not in self._value:
+            self._value[(i, j)] = self._operator(i, j, 2)
+        return self._value[(i, j)]
 
     def norm(self) -> Fraction:
         if not self.supp:
@@ -248,19 +254,7 @@ class TsirelsonEngine:
     def check_idempotent(self) -> bool:
         """One more application of the defining operator changes nothing."""
         self.norm()
-        for (i, j), current in list(self._value.items()):
-            sup_part = max(abs(self.coeffs[self.supp[k]]) for k in range(i, j + 1))
-            best = sup_part
-            for system in self._systems(i, j, at_least_two=False):
-                cand = self.theta * sum(
-                    (self._value[(a, b)] if (a, b) in self._value else self.value(a, b))
-                    for a, b in system
-                )
-                if cand > best:
-                    best = cand
-            if best != current:
-                return False
-        return True
+        return all(self._operator(i, j, 1) == v for (i, j), v in list(self._value.items()))
 
 
 def tsirelson_norm(
@@ -324,33 +318,28 @@ def _tsirelson_abs_functionals(space: Tsirelson, support: FinSet) -> list[Vector
     Single-part systems only rescale by theta and never decide a norming
     maximum, so omitting them loses nothing; with every combination splitting
     the support into at least two pieces, nesting depth is bounded by the
-    support size and the closure is finite.
+    support size and the closure is finite.  Each round combines the kept
+    functionals grouped by their minimum, and keeps the systems with a part
+    new in the round before.  The parts of a system have increasing disjoint
+    supports, so their sum is the concatenation of their entries.
     """
     fam = Schreier(space.xi, space.q)
     kept: set[Vector] = {Vector.basis(i) for i in support}
     frontier = set(kept)
     while frontier:
-        by_min = sorted(kept, key=lambda v: (v.support[0], v.support[-1]))
-        fresh: set[Vector] = set()
-
-        def build(parts: list[Vector], mins: FinSet, last_max: int, used_new: bool):
-            if len(parts) >= 2 and used_new:
-                total = Vector()
-                for p in parts:
-                    total = total + p
-                cand = total.scale(space.theta)
-                if cand not in kept:
-                    fresh.add(cand)
-            for v in by_min:
-                lo = v.support[0]
-                if lo <= last_max:
-                    continue
-                new_mins = mins + (lo,)
-                if not fam.member(new_mins):
-                    continue
-                build(parts + [v], new_mins, v.support[-1], used_new or v in frontier)
-
-        build([], (), 0, False)
+        by_min: dict[int, list[Vector]] = {}
+        for v in kept:
+            by_min.setdefault(v.support[0], []).append(v)
+        lows = sorted(by_min)
+        groups = [
+            (lo, [(bisect.bisect_right(lows, v.support[-1]), v) for v in by_min[lo]])
+            for lo in lows
+        ]
+        fresh = {
+            Vector(tuple((i, c * space.theta) for p in parts for i, c in p.entries))
+            for parts in _admissible_systems(fam, groups, 2)
+            if not frontier.isdisjoint(parts)
+        } - kept
         kept |= fresh
         if len(kept) > TSIRELSON_FUNCTIONAL_CAP:
             raise SpaceError(

@@ -288,6 +288,17 @@ class TestWitnessGolden:
         assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
 
 
+class TestTsirelsonGolden:
+    """stdout of `dominate exact` of two Tsirelson blocks against the c0
+    basis, recorded from the recursive closure of admissible-tree
+    functionals that the one admissible-system walk replaced."""
+
+    def test_byte_identical(self, capsys):
+        argv = ["dominate", "exact", str(GOLDEN / "dominate_tsirelson_xs.json"), "basis:C0:2"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (GOLDEN / "dominate_exact_tsirelson.out").read_text()
+
+
 class TestDominateCli:
     def test_exact(self, capsys):
         code, out = run(capsys, "dominate", "exact", "basis:L1:2", "basis:C0:2")
@@ -301,6 +312,17 @@ class TestDominateCli:
         code, out = run(capsys, "dominate", "exact", "basis:L1:2", str(path))
         assert code == 0
         assert json.loads(out)["constant"]["kind"] == "infinite"
+
+    def test_exact_lp_left_overlapping_right_exit_one(self, capsys, tmp_path):
+        # the true constant is sqrt(5), which `dominate lb` finds; the exact
+        # route would answer from the positive orthant alone, so it refuses
+        xs, ys = tmp_path / "xs.json", tmp_path / "ys.json"
+        xs.write_text('{"space": "LP(2)", "vectors": [{"entries": [[1, "1"]]}, {"entries": [[2, "1"]]}]}')
+        ys.write_text('{"space": "C0", "vectors": [{"entries": [[1, "1"]]}, {"entries": [[1, "1"], [2, "1"]]}]}')
+        code, out = run(capsys, "dominate", "lb", str(xs), str(ys))
+        assert code == 0 and json.loads(out)["lower_bound"]["power"] == "5"
+        code, out = run(capsys, "dominate", "exact", str(xs), str(ys))
+        assert code == 1 and out == ""
 
 
 class TestSpreadCli:

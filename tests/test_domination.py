@@ -142,6 +142,39 @@ class TestExactConstant:
             slow = brute_constant(xs, ys)
             assert fast == slow, (trial, fast, slow)
 
+    def test_lp_left_rejects_overlapping_right_vectors(self):
+        # the positive orthant of {a : |a_1 e_1 + a_2 (e_1 + e_2)|_oo <= 1}
+        # misses a = (2, -1), where the l_p(2) left norm reaches sqrt(5)
+        xs = VectorSequence((e(1), e(2)), Lp(2))
+        ys = VectorSequence((e(1), Vector.of({1: 1, 2: 1})), C0())
+        assert brute_constant(xs, ys) == Mag(Fraction(5), 2)
+        with pytest.raises(DominationError, match="disjoint y supports"):
+            domination_constant_exact(xs, ys)
+
+    def test_lp_left_with_overlapping_right_vectors_is_refused_not_wrong(self):
+        # an answer from the exact route must be the brute one, so right
+        # vectors that overlap, as in the sqrt(5) case first, are refused
+        cases = [((e(1), e(2)), (e(1), Vector.of({1: 1, 2: 1})), C0())]
+        rng = random.Random(6)
+        for _ in range(8):
+            t = rng.randint(2, 3)
+            ys_items = tuple(
+                Vector.of({i: rng.choice((-1, 1)) * rng.randint(1, 3) for i in (k, k + 1)})
+                for k in range(1, t + 1)
+            )
+            xs_items = tuple(e(i) for i in range(1, t + 1))
+            cases.append((xs_items, ys_items, rng.choice((C0(), L1(), X1))))
+        for xs_items, ys_items, sy in cases:
+            xs = VectorSequence(xs_items, Lp(2))
+            ys = VectorSequence(ys_items, sy)
+            slow = brute_constant(xs, ys)
+            assert slow.is_finite
+            try:
+                fast = domination_constant_exact(xs, ys).value
+            except DominationError:
+                continue
+            assert fast == slow, (ys_items, fast, slow)
+
     def test_signed_route_matches_unsigned(self):
         # vectors with negative entries bypass the unsigned fast path
         xs_pos = VectorSequence((Vector.of({1: 1, 2: 2}), e(3)), X1)

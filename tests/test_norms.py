@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from domcert.domination import basis_sequence, search_certificate
 from domcert.families import (
     AllFinite,
     Explicit,
@@ -15,6 +16,7 @@ from domcert.families import (
     Restrict,
     Schreier,
     SumFamily,
+    find_order_embedding,
     members_within,
 )
 from domcert.norms import (
@@ -457,12 +459,18 @@ class TestPrunedWalks:
             k = next(starts)
             return (k, k + 1, k + 3, 2 * k, 2 * k + 2, 3 * k)
 
+        seven = Vector.of(dict(self.COUNTED.entries[:7]))
+        rho = lambda: basis_sequence(X1, 7)  # a new rho, with new domination tables
         walks = {
             "members_within": lambda: members_within(S1, tuple(range(1, 8))),
             "X[fam] norm": lambda: norm(parse_space("X[S[2]]"), self.COUNTED),
             "Baernstein table": lambda: norm(Baernstein(from_int(1), 2), self.COUNTED),
             "NFOLD membership": lambda: NFold(S1, 3).member(new_set()),
             "S[2] membership": lambda: Schreier(from_int(2)).member(new_set()),
+            "Tsirelson engine": lambda: TsirelsonEngine(T12.xi, T12.theta, seven).check_idempotent(),
+            "Tsirelson closure": lambda: absolute_functionals(T12, (30, 31, 33, 34)),
+            "certificate search": lambda: search_certificate(rho(), from_int(1), Fraction(1), 4),
+            "order embedding": lambda: find_order_embedding(S1, Schreier(from_int(2)), 5),
         }
         for walk in walks.values():
             walk()  # first fills of the membership caches go through _blocks_cover
@@ -474,3 +482,138 @@ class TestPrunedWalks:
                 assert gc.collect() == 0, name
         finally:
             gc.enable()
+
+
+def interval_systems(fam, supp, start, j, lows=()):
+    """Admissible systems of position intervals in [start..j] after the
+    chosen lows, by plain recursion: lows form a member of fam, and each
+    interval starts after the one before."""
+    for a in range(start, j + 1):
+        new_lows = lows + (supp[a],)
+        if fam.member(new_lows):
+            for b in range(a, j + 1):
+                yield [(a, b)]
+                for rest in interval_systems(fam, supp, b + 1, j, new_lows):
+                    yield [(a, b)] + rest
+
+
+def defining_operator(fam, theta, x, value, i, j, min_parts):
+    """max(sup norm, theta * best sum of values over admissible systems of at
+    least min_parts intervals) on positions [i..j]."""
+    supp = x.support
+    best = max(abs(x.coeff(supp[k])) for k in range(i, j + 1))
+    for system in interval_systems(fam, supp, i, j):
+        if len(system) >= min_parts:
+            best = max(best, theta * sum(value(a, b) for a, b in system))
+    return best
+
+
+def recursive_tsirelson(fam, theta, x):
+    """The Tsirelson value table of x as a plain memoized recursion."""
+    table = {}
+
+    def value(i, j):
+        if (i, j) not in table:
+            table[(i, j)] = defining_operator(fam, theta, x, value, i, j, 2)
+        return table[(i, j)]
+
+    return value, table
+
+
+def build_closure(space, support):
+    """The closure of `_tsirelson_abs_functionals` as a self-recursive
+    search that tests the lows once per part, as an oracle."""
+    fam = Schreier(space.xi, space.q)
+    kept = {Vector.basis(i) for i in support}
+    frontier = set(kept)
+    while frontier:
+        by_min = sorted(kept, key=lambda v: (v.support[0], v.support[-1]))
+        fresh = set()
+
+        def build(parts, mins, last_max, used_new):
+            if len(parts) >= 2 and used_new:
+                total = Vector()
+                for p in parts:
+                    total = total + p
+                cand = total.scale(space.theta)
+                if cand not in kept:
+                    fresh.add(cand)
+            for v in by_min:
+                lo = v.support[0]
+                if lo <= last_max:
+                    continue
+                new_mins = mins + (lo,)
+                if not fam.member(new_mins):
+                    continue
+                build(parts + [v], new_mins, v.support[-1], used_new or v in frontier)
+
+        build([], (), 0, False)
+        kept |= fresh
+        frontier = fresh
+    return sorted(kept, key=lambda v: (len(v.entries), v.entries))
+
+
+tsirelson_params = st.tuples(
+    st.sampled_from([0, 1, 2]), st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(2, 3)])
+)
+
+
+class TestAdmissibleSystemWalk:
+    @given(
+        tsirelson_params,
+        st.dictionaries(st.integers(1, 12), nonzero_coefficients, min_size=1, max_size=6),
+        st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_engine_matches_recursive_definition(self, params, x, data):
+        xi, theta = params
+        x = Vector.of(x)
+        fam = Schreier(from_int(xi))
+        value, table = recursive_tsirelson(fam, theta, x)
+        engine = TsirelsonEngine(from_int(xi), theta, x)
+        top = value(0, len(x.support) - 1)
+        assert engine.norm() == tsirelson_norm(from_int(xi), theta, x) == top
+        assert engine._value == table
+        # the replay is the operator once more, with single systems allowed:
+        # a fixed point passes, a table with one value moved may not
+        (i, j), v = data.draw(st.sampled_from(sorted(table.items())))
+        v += data.draw(st.sampled_from([0, 1, Fraction(-1, 7)]))
+        engine._value[(i, j)] = table[(i, j)] = v
+        replay = all(
+            defining_operator(fam, theta, x, value, a, b, 1) == w
+            for (a, b), w in list(table.items())
+        )
+        assert engine.check_idempotent() == replay
+
+    @given(
+        tsirelson_params,
+        st.lists(st.integers(1, 10), unique=True, max_size=5).map(lambda s: tuple(sorted(s))),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_functionals_match_recursive_closure(self, params, support):
+        space = Tsirelson(from_int(params[0]), params[1])
+        assert _tsirelson_abs_functionals(space, support) == build_closure(space, support)
+
+    # on six points the recursive oracle takes seconds, so two fixed supports
+    @pytest.mark.parametrize(
+        "space, support",
+        [(T12, (2, 3, 4, 5, 6, 7)),
+         (Tsirelson(from_int(1), Fraction(1, 3)), (2, 4, 6, 8, 9, 10))],
+    )
+    def test_six_point_functionals_match_recursive_closure(self, space, support):
+        assert _tsirelson_abs_functionals(space, support) == build_closure(space, support)
+
+    def test_closure_tests_each_set_of_lows_once(self, monkeypatch):
+        # the closure that tested the lows once per part made 19 395 calls
+        calls = 0
+        member = Family.member
+
+        def counting(fam, f):
+            nonlocal calls
+            calls += 1
+            return member(fam, f)
+
+        monkeypatch.setattr(Family, "member", counting)
+        functionals = absolute_functionals(T12, tuple(range(2, 9)))
+        assert len(functionals) == 1904
+        assert calls <= 6_000
