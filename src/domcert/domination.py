@@ -277,52 +277,62 @@ def _support_function_nonneg(
 def _lp_left_constant(
     xs: VectorSequence, ys: VectorSequence, rows: list[tuple[Fraction, ...]]
 ) -> DominationValue:
-    """Exact max of an l_p norm over the domination polytope.
+    """Exact max of an l_p norm over the domination polytope {a : |w.a| <= 1}.
 
-    Needs pairwise disjoint supports on both sides.  On the x side,
-    |sum a_n x_n|_p^p then splits as sum |a_n|^p d_n, so the objective is
-    unconditional.  On the y side, the 1-unconditional right norm makes the
-    polytope symmetric under sign flips of the coordinates, so it is the
-    reflection of its positive part {a >= 0, |W| a <= 1}.  The maximum is
-    then attained at a vertex of that part.
+    Needs pairwise disjoint x supports: |sum a_n x_n|_p^p then splits as
+    sum |a_n|^p d_n, a convex objective, so the maximum is attained at a
+    vertex.  With pairwise disjoint y supports as well, the 1-unconditional
+    right norm makes the polytope symmetric under sign flips of the
+    coordinates, so it is the reflection of its positive part
+    {a >= 0, |W| a <= 1}, whose vertices suffice.  Otherwise the vertices are
+    those of the whole polytope, t independent rows among w and -w held at 1.
+    A direction that every row w kills is killed on the x side too (else the
+    constant is infinite), so the objective is constant along it and each
+    vertex is taken with those directions pinned at 0.
     """
     t = len(xs)
-    for seq, side in ((xs, "x"), (ys, "y")):
-        seen: set[int] = set()
-        for v in seq.items:
-            if seen & set(v.support):
-                raise DominationError(f"Lp left side requires pairwise disjoint {side} supports")
-            seen |= set(v.support)
+    if not _disjoint_supports(xs):
+        raise DominationError("Lp left side requires pairwise disjoint x supports")
     p = xs.space.p
     weights = [
         sum((abs(c) ** p for _, c in v.entries), Fraction(0)) for v in xs.items
     ]
-    pos = {tuple(abs(c) for c in row) for row in rows}
-    pos_rows = [r for r in pos if not _dominated_row(r, pos)]
-    constraints, rhs = _orthant_system(pos_rows, t)
-    if math.comb(len(constraints), t) > 200_000:
+    if _disjoint_supports(ys):
+        pos = {tuple(abs(c) for c in row) for row in rows}
+        pos_rows = [r for r in pos if not _dominated_row(r, pos)]
+        constraints, rhs = _orthant_system(pos_rows, t)
+        pinned = []
+    else:
+        constraints = [s for w in rows for s in (w, tuple(-c for c in w))]
+        rhs = [Fraction(1)] * len(constraints)
+        pinned = nullspace(rows, t)
+    if math.comb(len(constraints), t - len(pinned)) > 200_000:
         raise DominationError(
             "vertex enumeration budget exceeded for the Lp left space"
         )
     best = Fraction(0)
     best_wit: Optional[tuple[Fraction, ...]] = None
-    for subset in itertools.combinations(range(len(constraints)), t):
-        a_mat = [list(constraints[k]) for k in subset]
-        b_vec = [rhs[k] for k in subset]
+    for subset in itertools.combinations(range(len(constraints)), t - len(pinned)):
+        a_mat = [list(constraints[k]) for k in subset] + pinned
+        b_vec = [rhs[k] for k in subset] + [Fraction(0)] * len(pinned)
         sol = solve_square(a_mat, b_vec)
         if sol is None:
             continue
-        if any(x < 0 for x in sol):
-            continue
         if any(
-            sum((c * x for c, x in zip(row, sol)), Fraction(0)) > 1 for row in pos_rows
+            sum((c * x for c, x in zip(row, sol)), Fraction(0)) > r
+            for row, r in zip(constraints, rhs)
         ):
             continue
-        value = sum((w * x**p for w, x in zip(weights, sol)), Fraction(0))
+        value = sum((w * abs(x) ** p for w, x in zip(weights, sol)), Fraction(0))
         if value > best:
             best = value
             best_wit = tuple(sol)
     return DominationValue(Mag(best, p), best_wit)
+
+
+def _disjoint_supports(seq: VectorSequence) -> bool:
+    supports = [v.support for v in seq.items]
+    return sum(map(len, supports)) == len(set().union(*supports))
 
 
 def _dominated_row(row: tuple[Fraction, ...], pool) -> bool:

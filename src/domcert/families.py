@@ -24,6 +24,7 @@ where the integer schedule q_n is configurable (default q_n = n).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Callable, Iterable, Optional
@@ -181,7 +182,8 @@ class Explicit(Family):
         for f in self.members:
             if not isinstance(f, tuple) or not all(type(x) is int for x in f):
                 raise FamilyError(f"member {f!r} is not a tuple of integers")
-            as_finset(f)
+            if (f and f[0] < 1) or not all(map(operator.lt, f, f[1:])):
+                as_finset(f)  # raises, with its messages in their order
 
     def member(self, f: FinSet) -> bool:  # literal: the empty set is not implied
         return as_finset(f) in self.members

@@ -11,7 +11,8 @@ and reading off block-sequence certificates.
 above eps by one dual-ball element.  Membership of F depends on eps only
 through a threshold on an eps-free score, its max-min value z (for l_2,
 z^2 = 1/m with m the squared minimum norm of the witness polyhedron at
-threshold 1), so `wn_select` reads every level phi^k off one score table.
+threshold 1), so `wn_select` reads every level phi^k off one hereditary
+sweep of one score table that records the level each member enters at.
 The max-min is `linprog.max_min_over_simplex`, posed like every domcert LP as a support
 function over a row list `(rows, rhs)`, {a : rows[k].a <= rhs[k]}.
 """
@@ -340,12 +341,20 @@ def block_certificate(
 class _WitnessScores:
     """The eps-free witness scores of the index sets of xs[:n], for the span
     of one `frak_f_epsilon` or `wn_select` call.  F is in frak_eps when some
-    sign pattern sigma, tried in order up to the first that passes, has
-    z(F, sigma) = max over the dual ball of min_i sigma_i x*(x_i) >= eps, or
-    z^2 = 1/m >= eps^2 in l_2.  The functional-by-vector table (the Gram
-    matrix for l_2), the max-min LPs and the scores are shared by every eps."""
+    sign pattern sigma has z(F, sigma) = max over the dual ball of
+    min_i sigma_i x*(x_i) >= eps, or z^2 = 1/m >= eps^2 in l_2.  The
+    functional-by-vector table (the Gram matrix for l_2) and the max-min LPs
+    are shared by every eps.
 
-    def __init__(self, xs: VectorSequence, n: int):
+    One hereditary sweep serves a descending list of thresholds.  It grows
+    the family at the loosest and gives each member its entry level, the
+    first threshold whose family holds it; z is antitone in F, so frak at
+    threshold k is {F : entry(F) <= k}.  A candidate is tried at c, the
+    largest entry level of its immediate subsets, its patterns in order up
+    to the first that meets threshold c, as a sweep per threshold tries them,
+    and enters at the first threshold from c on that its best score meets."""
+
+    def __init__(self, xs: VectorSequence, n: int, thresholds: Sequence[Fraction] = ()):
         if n > len(xs):
             raise TransferError("n exceeds the available prefix")
         vectors = xs.items[:n]
@@ -372,26 +381,36 @@ class _WitnessScores:
         self.scale = math.lcm(*(c.denominator for row in self.table for c in row))
         self.table = [[int(c * self.scale) for c in row] for row in self.table]
         self._maxmin: dict[tuple, Fraction] = {}
-        self._scores: dict[tuple[FinSet, tuple[int, ...]], Fraction] = {}
+        self.thresholds = list(thresholds)
+        self.entry = self._sweep(self.thresholds) if thresholds else {}
 
     def family(self, eps: Fraction) -> Explicit:
-        """frak_eps restricted to {1..n}: hereditary, so grown level by level
-        from the members below."""
-        bar = self.scale * (eps * eps if self.l2 else eps)
-        members: set[FinSet] = {()}
+        """frak_eps restricted to {1..n}: read off the sweep when eps is one
+        of its thresholds, else from a sweep of its own."""
+        if eps in self.thresholds:
+            k, entry = self.thresholds.index(eps), self.entry
+        else:
+            k, entry = 0, self._sweep([eps])
+        return Explicit(frozenset(f for f, level in entry.items() if level <= k))
+
+    def _sweep(self, thresholds: list[Fraction]) -> dict[FinSet, int]:
+        bars = [self.scale * (eps * eps if self.l2 else eps) for eps in thresholds]
+        entry: dict[FinSet, int] = {(): 0}
         level: list[FinSet] = [()]
         while level:
             level = [
                 f + (x,)
                 for f in level
                 for x in range(f[-1] + 1 if f else 1, self.n + 1)
-                if all(f[:i] + f[i + 1 :] + (x,) in members for i in range(len(f)))
-                and self._passes(f + (x,), bar)
+                if self._enter(f + (x,), entry, bars)
             ]
-            members.update(level)
-        return Explicit(frozenset(members))
+        return entry
 
-    def _passes(self, f: FinSet, bar: Fraction) -> bool:
+    def _enter(self, f: FinSet, entry: dict[FinSet, int], bars: list[Fraction]) -> bool:
+        below = [entry.get(f[:i] + f[i + 1 :]) for i in range(len(f))]
+        if None in below:
+            return False
+        c = max(below)
         # flipping the sign of an l_2 witness orthogonal to the others
         # changes no score
         orthogonal = self.l2 and all(
@@ -402,14 +421,16 @@ class _WitnessScores:
             if self.unconditional or orthogonal
             else ((1,) + s for s in itertools.product((1, -1), repeat=len(f) - 1))
         )
+        best = -1
         for sigma in patterns:
-            if (f, sigma) not in self._scores:
-                self._scores[f, sigma] = (
-                    self._l2_score(f, sigma, orthogonal) if self.l2 else self._max_min(f, sigma)
-                )
-            if self._scores[f, sigma] >= bar:
-                return True
-        return False
+            score = self._l2_score(f, sigma, orthogonal) if self.l2 else self._max_min(f, sigma)
+            best = max(best, score)
+            if best >= bars[c]:
+                break
+        k = next((k for k in range(c, len(bars)) if best >= bars[k]), None)
+        if k is not None:
+            entry[f] = k
+        return k is not None
 
     def _max_min(self, f: FinSet, sigma: tuple[int, ...]) -> Fraction:
         cols = [[s * row[i - 1] for s, i in zip(sigma, f)] for row in self.table]
@@ -430,8 +451,10 @@ class _WitnessScores:
         problem is its unique min-norm point y, with |y|^2 the sum of its
         multipliers, so the search over active sets ends at the first."""
         if orthogonal:
+            # 1 / sum(1/g) over one common multiple, 0 when some g is 0
             diagonal = [self.table[i - 1][i - 1] for i in f]
-            return Fraction(0) if 0 in diagonal else 1 / sum(Fraction(1, g) for g in diagonal)
+            common = math.lcm(*diagonal)
+            return Fraction(common, sum(common // g for g in diagonal)) if common else Fraction(0)
         signed = [
             [sigma[a] * sigma[b] * self.table[i - 1][j - 1] for b, j in enumerate(f)]
             for a, i in enumerate(f)
@@ -526,7 +549,8 @@ def wn_select(
     For k = 1..depth the infinite refinement step is replaced by a search for
     a nested index set M_k inside which every frak_{phi^k} member lies in
     Schreier(xi).  The levels differ only in the threshold phi^k, so their
-    `frak_f_epsilon` calls share one table of eps-free scores.  The diagonal choice
+    `frak_f_epsilon` calls read one sweep of one eps-free score table, built
+    here for phi^1..phi^depth.  The diagonal choice
     M(k) in M_k yields the claimed certificate (x_{M(n)}) <=_{1+eps}
     (g_{M(n)}) in the Schreier space, verified exactly.  Failure to reach
     `depth` reports the level and the witnessing family member, the finite
@@ -542,10 +566,10 @@ def wn_select(
     m_current = tuple(range(1, universe + 1))
     steps: list[SelectionStep] = []
     # every level reads one score table; depth 0 reads none
-    token = _SHARED_SCORES.set(_WitnessScores(xs, universe) if depth > 0 else None)
+    thresholds = [phi**k for k in range(1, depth + 1)]
+    token = _SHARED_SCORES.set(_WitnessScores(xs, universe, thresholds) if depth > 0 else None)
     try:
-        for k in range(1, depth + 1):
-            threshold = phi**k
+        for k, threshold in enumerate(thresholds, start=1):
             fam_k = frak_f_epsilon(xs, threshold, universe)
             removed: list[int] = []
             witness: Optional[FinSet] = None

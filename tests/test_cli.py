@@ -208,7 +208,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 class TestTransferGolden:
     """stdout and exit code of `transfer select` and `transfer frak`, recorded
-    from the implementation that solved every eps level afresh."""
+    from the implementation that solved every eps level afresh; the signed
+    `select` from the one that grew the family once per level."""
 
     @pytest.mark.parametrize(
         "name, argv, code",
@@ -232,12 +233,18 @@ class TestTransferGolden:
                 2,
             ),
             (
+                "transfer_select_c0_signed",
+                ["transfer", "select", "c0_signed_blocks.json", "--xi", "1", "--eps", "1/2",
+                 "--phi", "1/8", "--depth", "3"],
+                0,
+            ),
+            (
                 "transfer_frak_c0_blocks",
                 ["transfer", "frak", "c0_signed_blocks.json", "--eps", "1/4", "--depth", "6"],
                 0,
             ),
         ],
-        ids=["select-c0", "select-lp2", "select-l1-shadow", "frak-c0-blocks"],
+        ids=["select-c0", "select-lp2", "select-l1-shadow", "select-c0-signed", "frak-c0-blocks"],
     )
     def test_byte_identical(self, capsys, name, argv, code):
         argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in argv]
@@ -313,16 +320,18 @@ class TestDominateCli:
         assert code == 0
         assert json.loads(out)["constant"]["kind"] == "infinite"
 
-    def test_exact_lp_left_overlapping_right_exit_one(self, capsys, tmp_path):
+    def test_exact_lp_left_overlapping_right_power_five(self, capsys, tmp_path):
         # the true constant is sqrt(5), which `dominate lb` finds; the exact
-        # route would answer from the positive orthant alone, so it refuses
+        # route reaches it at a vertex outside the positive orthant
         xs, ys = tmp_path / "xs.json", tmp_path / "ys.json"
         xs.write_text('{"space": "LP(2)", "vectors": [{"entries": [[1, "1"]]}, {"entries": [[2, "1"]]}]}')
         ys.write_text('{"space": "C0", "vectors": [{"entries": [[1, "1"]]}, {"entries": [[1, "1"], [2, "1"]]}]}')
         code, out = run(capsys, "dominate", "lb", str(xs), str(ys))
         assert code == 0 and json.loads(out)["lower_bound"]["power"] == "5"
         code, out = run(capsys, "dominate", "exact", str(xs), str(ys))
-        assert code == 1 and out == ""
+        assert code == 0
+        assert json.loads(out)["constant"]["power"] == "5"
+        assert json.loads(out)["witness"] == ["-2", "1"]
 
 
 class TestSpreadCli:

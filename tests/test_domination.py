@@ -142,19 +142,24 @@ class TestExactConstant:
             slow = brute_constant(xs, ys)
             assert fast == slow, (trial, fast, slow)
 
-    def test_lp_left_rejects_overlapping_right_vectors(self):
+    def test_lp_left_overlapping_right_reaches_sqrt5(self):
         # the positive orthant of {a : |a_1 e_1 + a_2 (e_1 + e_2)|_oo <= 1}
-        # misses a = (2, -1), where the l_p(2) left norm reaches sqrt(5)
+        # misses a = (2, -1), where the l_p(2) left norm reaches sqrt(5): the
+        # vertices of the whole polytope are enumerated
         xs = VectorSequence((e(1), e(2)), Lp(2))
         ys = VectorSequence((e(1), Vector.of({1: 1, 2: 1})), C0())
-        assert brute_constant(xs, ys) == Mag(Fraction(5), 2)
-        with pytest.raises(DominationError, match="disjoint y supports"):
-            domination_constant_exact(xs, ys)
+        res = domination_constant_exact(xs, ys)
+        assert res.value == brute_constant(xs, ys) == Mag(Fraction(5), 2)
+        assert norm(ys.space, combine(ys.items, res.witness)) == 1
+        assert norm(xs.space, combine(xs.items, res.witness)) == res.value
 
-    def test_lp_left_with_overlapping_right_vectors_is_refused_not_wrong(self):
-        # an answer from the exact route must be the brute one, so right
-        # vectors that overlap, as in the sqrt(5) case first, are refused
-        cases = [((e(1), e(2)), (e(1), Vector.of({1: 1, 2: 1})), C0())]
+    def test_lp_left_overlapping_right_matches_brute_oracle(self):
+        # signed entries and odd p: the objective is sum |a_n|^p d_n at
+        # vertices with negative coordinates
+        cases = [
+            ((e(1), e(2)), (e(1), Vector.of({1: 1, 2: 1})), C0(), 2),
+            ((e(1), e(2)), (e(1), Vector.of({1: 1, 2: 1})), C0(), 3),
+        ]
         rng = random.Random(6)
         for _ in range(8):
             t = rng.randint(2, 3)
@@ -163,17 +168,30 @@ class TestExactConstant:
                 for k in range(1, t + 1)
             )
             xs_items = tuple(e(i) for i in range(1, t + 1))
-            cases.append((xs_items, ys_items, rng.choice((C0(), L1(), X1))))
-        for xs_items, ys_items, sy in cases:
-            xs = VectorSequence(xs_items, Lp(2))
+            cases.append((xs_items, ys_items, rng.choice((C0(), L1(), X1)), 2))
+        for xs_items, ys_items, sy, p in cases:
+            xs = VectorSequence(xs_items, Lp(p))
             ys = VectorSequence(ys_items, sy)
             slow = brute_constant(xs, ys)
             assert slow.is_finite
-            try:
-                fast = domination_constant_exact(xs, ys).value
-            except DominationError:
-                continue
+            fast = domination_constant_exact(xs, ys).value
             assert fast == slow, (ys_items, fast, slow)
+
+    def test_lp_left_pins_directions_the_right_side_kills(self):
+        # y_2 = y_3 leaves the direction (0, 1, -1) unseen; x_2 = x_3 = 0 make
+        # it free on the left too, so the polytope has no vertex and the
+        # maximum, at a_1 = 2, is found with that direction pinned at 0
+        zero = Vector.of({})
+        xs = VectorSequence((e(1), zero, zero), Lp(2))
+        ys = VectorSequence((e(1), Vector.of({1: 1, 2: 1}), Vector.of({1: 1, 2: 1})), C0())
+        res = domination_constant_exact(xs, ys)
+        assert res.value == 2
+        assert norm(ys.space, combine(ys.items, res.witness)) == 1
+
+    def test_lp_left_rejects_overlapping_left_vectors(self):
+        xs = VectorSequence((e(1), Vector.of({1: 1, 2: 1})), Lp(2))
+        with pytest.raises(DominationError, match="disjoint x supports"):
+            domination_constant_exact(xs, basis_sequence(C0(), 2))
 
     def test_signed_route_matches_unsigned(self):
         # vectors with negative entries bypass the unsigned fast path

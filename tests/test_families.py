@@ -185,6 +185,21 @@ class TestRegularity:
         with pytest.raises(FamilyError):
             Explicit(frozenset({(), bad}))
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ((3, 0), "positive integers"),
+            ((0, 1), "positive integers"),
+            ((2, 5, 4), "strictly increasing"),
+            ((1, 1), "strictly increasing"),
+        ],
+    )
+    def test_explicit_names_the_first_broken_rule(self, bad, message):
+        # (3, 0) breaks both rules; positivity is reported first, as
+        # `as_finset` reports it
+        with pytest.raises(FamilyError, match=message):
+            Explicit(frozenset({(), bad}))
+
     def test_explicit_accepts_literals(self):
         fam = Explicit(frozenset({(), (1,), (2, 5), (1, 3, 4)}))
         assert enumerate_family(fam, 5) == [(), (1,), (2, 5), (1, 3, 4)]

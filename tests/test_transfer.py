@@ -1,4 +1,5 @@
 import itertools
+import random
 from collections import Counter
 from fractions import Fraction
 from typing import Optional
@@ -483,6 +484,88 @@ class TestFrakDifferential:
         assert transfer._WitnessScores(xs, 2)._max_min((1, 2), (1, 1)) == 0
         assert (1, 2) in oracle_frak(xs, Fraction(1), 2).members
         assert oracle_frak(xs, Fraction(1), 2) == frak_f_epsilon(xs, Fraction(1), 2)
+
+
+def seeded_sequence(seed: int, space: str, signed: bool) -> VectorSequence:
+    """Four vectors: consecutive two-point blocks for an odd seed, supports
+    drawn in {1..5} for an even one, so overlapping and, in l_2, not
+    orthogonal."""
+    rng = random.Random(seed)
+    vectors = []
+    for k in range(4):
+        support = (
+            range(2 * k + 1, 2 * k + 3)
+            if seed % 2
+            else sorted(rng.sample(range(1, 6), rng.randint(1, 3)))
+        )
+        vectors.append(
+            Vector.of(
+                {i: rng.choice(COEFFS) * (rng.choice((1, -1)) if signed else 1) for i in support}
+            )
+        )
+    return VectorSequence(tuple(vectors), SPACES[space], f"seed-{seed}")
+
+
+def _select_half(xs: VectorSequence) -> None:
+    # phi = 1/2 spreads the entry levels of the sets over 1/2, 1/4 and 1/8;
+    # eps = 4 meets (1 - phi)^2 (1 + eps) > 1
+    try:
+        wn_select(xs, from_int(1), Fraction(4), Fraction(1, 2), 3)
+    except TransferError:
+        # a shadow failure, an overlapping l_2 selection or a failed check:
+        # every level's family has been read by then
+        pass
+
+
+class TestSelectionSweep:
+    """One sweep over phi, phi^2, phi^3 against the per-eps oracle, and the
+    LPs it solves against those of the sweep per level it replaced."""
+
+    @pytest.mark.parametrize("signed", [False, True])
+    @pytest.mark.parametrize("space", sorted(SPACES))
+    def test_every_level_equals_the_oracle(self, space, signed):
+        for seed in range(4):
+            xs = seeded_sequence(seed, space, signed)
+            seen = []
+            frak = transfer.frak_f_epsilon
+
+            def recording(xs, eps, n):
+                seen.append((eps, frak(xs, eps, n)))
+                return seen[-1][1]
+
+            with mock.patch.object(transfer, "frak_f_epsilon", recording):
+                _select_half(xs)
+            assert [eps for eps, _ in seen] == [Fraction(1, 2 ** k) for k in (1, 2, 3)]
+            for eps, fam in seen:
+                assert fam == oracle_frak(xs, eps, len(xs)), (seed, eps)
+
+    # (max_min_over_simplex, solve_square) calls of one wn_select call,
+    # recorded from the implementation that grew the family once per level
+    @pytest.mark.parametrize(
+        "space, seed, expected",
+        [
+            ("C0", 0, (14, 0)), ("C0", 2, (14, 0)), ("C0", 4, (17, 0)), ("C0", 6, (20, 0)),
+            ("L1", 0, (14, 0)), ("L1", 2, (14, 0)), ("L1", 4, (15, 0)), ("L1", 6, (15, 0)),
+            ("X[S[1]]", 0, (15, 0)), ("X[S[1]]", 2, (15, 0)),
+            ("X[S[1]]", 4, (17, 0)), ("X[S[1]]", 6, (19, 0)),
+            ("LP(2)", 0, (0, 10)), ("LP(2)", 2, (0, 25)),
+            ("LP(2)", 4, (0, 31)), ("LP(2)", 6, (0, 72)),
+        ],
+    )
+    def test_signed_sequences_solve_the_same_lps(self, monkeypatch, space, seed, expected):
+        # a sweep that tried a sign pattern past the first one meeting the
+        # tightest threshold a set is tried at would solve more
+        calls = Counter()
+        for name in ("max_min_over_simplex", "solve_square"):
+            original = getattr(transfer, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(transfer, name, counted)
+        _select_half(seeded_sequence(seed, space, True))
+        assert (calls["max_min_over_simplex"], calls["solve_square"]) == expected
 
 
 class TestWnSelect:
