@@ -304,6 +304,7 @@ def cmd_certify(args) -> int:
             constraint=_finset(args.constraint) if args.constraint else None,
             node_budget=int(args.node_budget),
             time_budget=float(args.time_budget),
+            g_space=parse_space(args.g_space, q) if args.g_space else None,
         )
         if out.status == "found":
             _emit(out.certificate.to_json(), args)

@@ -20,6 +20,9 @@ many pairs (m, l), searches and re-verifications pose it.
 Certificates assert {(M(F), L(F)) : F in FineSchreier(xi)} is contained in
 the pairing tree T(rho, C) up to a finite depth; verification checks the
 maximal family members (subsets inherit domination by restricting scalars).
+The certificate search is a depth-first walk of T(rho, C), smallest pairs
+first, on the same backtracking walk as the order-embedding search of
+`families`; no tree object is built.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .families import (
     FineSchreier,
     QSchedule,
     Q_DEFAULT,
+    _increasing_search,
     as_finset,
     enumerate_family,
     is_spread_of,
@@ -297,12 +301,13 @@ def _lp_left_constant(
     weights = [
         sum((abs(c) ** p for _, c in v.entries), Fraction(0)) for v in xs.items
     ]
-    if _disjoint_supports(ys):
+    signed = not _disjoint_supports(ys)
+    if not signed:
         pos = {tuple(abs(c) for c in row) for row in rows}
         pos_rows = [r for r in pos if not _dominated_row(r, pos)]
         constraints, rhs = _orthant_system(pos_rows, t)
         pinned = []
-    else:
+    else:  # w at 2k and -w at 2k + 1
         constraints = [s for w in rows for s in (w, tuple(-c for c in w))]
         rhs = [Fraction(1)] * len(constraints)
         pinned = nullspace(rows, t)
@@ -313,6 +318,8 @@ def _lp_left_constant(
     best = Fraction(0)
     best_wit: Optional[tuple[Fraction, ...]] = None
     for subset in itertools.combinations(range(len(constraints)), t - len(pinned)):
+        if signed and len({k // 2 for k in subset}) < len(subset):
+            continue  # holds both w and -w, so the system is singular
         a_mat = [list(constraints[k]) for k in subset] + pinned
         b_vec = [rhs[k] for k in subset] + [Fraction(0)] * len(pinned)
         sol = solve_square(a_mat, b_vec)
@@ -620,6 +627,7 @@ class SearchOutcome:
     nodes: int = 0
     kill_bound: Optional[Mag] = None
     kill_witness: Optional[Violation] = None
+    worst_ratio: Optional[Mag] = None  # of a found certificate, from its verification
 
 
 def search_certificate(
@@ -635,7 +643,9 @@ def search_certificate(
     time_budget: float = 60.0,
     oracle: Optional[DominationOracle] = None,
 ) -> SearchOutcome:
-    """Depth-first branch-and-bound for (M, L) with smallest indices first.
+    """Depth-first branch-and-bound for (M, L) with smallest indices first:
+    the walk of T(rho, C) along the family, with each new pair tested on the
+    members that end at its position.
 
     A branch dies as soon as some family member inside the chosen prefix
     fails the exact check at C; the minimum of the killing constants over a
@@ -661,101 +671,43 @@ def search_certificate(
     deadline = time.monotonic() + time_budget
     kill_bound: Optional[Mag] = None
     kill_witness: Optional[Violation] = None
-    m_sel: list[int] = []
-    l_sel: list[int] = []
 
-    def level_ok() -> Optional[Violation]:
-        for f in by_max[len(m_sel)]:
-            m_f = tuple(m_sel[i - 1] for i in f)
-            l_f = tuple(l_sel[i - 1] for i in f)
+    def accept(pairs: list[tuple[int, int]]) -> bool:
+        """Count the node and test the members ending at its position."""
+        nonlocal nodes, kill_bound, kill_witness
+        nodes += 1
+        if nodes > node_budget or time.monotonic() > deadline:
+            raise SearchBudgetError()
+        for f in by_max[len(pairs)]:
+            m_f = tuple(pairs[i - 1][0] for i in f)
+            l_f = tuple(pairs[i - 1][1] for i in f)
             res = oracle.constant(m_f, l_f)
             if res.value > c_mag:
-                return Violation(f, res.witness, res.value)
-        return None
+                if kill_bound is None or res.value < kill_bound:
+                    kill_bound = res.value
+                    kill_witness = Violation(f, res.witness, res.value)
+                return False
+        return True
 
-    # levels[k] iterates the candidates (m, l) for position k + 1 after the
-    # choices m_sel[:k], l_sel[:k]: an explicit stack, smallest indices first
-    levels = [itertools.product(m_pool, range(1, l_cap + 1))]
+    def after(pair: tuple[int, int]):
+        m, l = pair
+        return itertools.product([v for v in m_pool if v > m], range(l + 1, l_cap + 1))
+
+    first = itertools.product(m_pool, range(1, l_cap + 1))
     try:
-        while levels and len(m_sel) < depth:
-            for m, l in levels[-1]:
-                nodes += 1
-                if nodes > node_budget or time.monotonic() > deadline:
-                    raise SearchBudgetError()
-                m_sel.append(m)
-                l_sel.append(l)
-                viol = level_ok()
-                if viol is None:
-                    break
-                if kill_bound is None or viol.ratio < kill_bound:
-                    kill_bound, kill_witness = viol.ratio, viol
-                m_sel.pop()
-                l_sel.pop()
-            else:
-                levels.pop()
-                if m_sel:
-                    m_sel.pop()
-                    l_sel.pop()
-                continue
-            levels.append(itertools.product([v for v in m_pool if v > m], range(l + 1, l_cap + 1)))
-        if len(m_sel) == depth:
-            cert = Certificate(
-                xi, tuple(m_sel), tuple(l_sel), Fraction(C), g_space, rho.name
-            )
-            report = verify_certificate(cert, rho, q, oracle)
-            if not report.ok:
-                raise AssertionError("search produced an unverifiable certificate")
-            return SearchOutcome("found", replace(cert, verified=True), nodes)
-        return SearchOutcome("exhausted", None, nodes, kill_bound, kill_witness)
+        pairs = _increasing_search(first, after, accept, depth)
     except SearchBudgetError:
         return SearchOutcome("budget", None, nodes, None, None)
-
-
-@dataclass
-class TTree:
-    nodes: set[tuple[tuple[int, int], ...]]
-
-    def contains(self, pairs) -> bool:
-        return tuple(pairs) in self.nodes
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-
-def build_t_tree(
-    rho: VectorSequence,
-    C: Fraction,
-    g_space: SpaceSpec,
-    max_index: int,
-    max_depth: int,
-    oracle: Optional[DominationOracle] = None,
-) -> TTree:
-    """Explicit truncation of T(rho, C): increasing pairings (m_n, l_n) whose
-    rho-subsequence passes the exact C-domination check; closed under initial
-    segments by construction."""
-    oracle = oracle or DominationOracle(rho, g_space)
-    c_mag = Mag.of(Fraction(C))
-    m_cap = min(len(rho), max_index)
-    nodes: set[tuple[tuple[int, int], ...]] = {()}
-    frontier: list[tuple[tuple[int, int], ...]] = [()]
-    while frontier:
-        nxt: list[tuple[tuple[int, int], ...]] = []
-        for node in frontier:
-            if len(node) >= max_depth:
-                continue
-            m_start = node[-1][0] + 1 if node else 1
-            l_start = node[-1][1] + 1 if node else 1
-            for m in range(m_start, m_cap + 1):
-                for l in range(l_start, max_index + 1):
-                    cand = node + ((m, l),)
-                    ms = tuple(p[0] for p in cand)
-                    ls = tuple(p[1] for p in cand)
-                    res = oracle.constant(ms, ls)
-                    if res.value <= c_mag:
-                        nodes.add(cand)
-                        nxt.append(cand)
-        frontier = nxt
-    return TTree(nodes)
+    if pairs is None:
+        return SearchOutcome("exhausted", None, nodes, kill_bound, kill_witness)
+    m_sel, l_sel = zip(*pairs)
+    cert = Certificate(xi, m_sel, l_sel, Fraction(C), g_space, rho.name)
+    report = verify_certificate(cert, rho, q, oracle)
+    if not report.ok:
+        raise AssertionError("search produced an unverifiable certificate")
+    return SearchOutcome(
+        "found", replace(cert, verified=True), nodes, worst_ratio=report.worst_ratio
+    )
 
 
 @dataclass
@@ -813,8 +765,7 @@ def gamma_bracket(
         """Update the bracket; False when the budget ran dry."""
         nonlocal lower, upper, cert, lower_witness
         if out.status == "found":
-            report = verify_certificate(out.certificate, rho, q)
-            worst = report.worst_ratio
+            worst = out.worst_ratio
             new_upper = Mag.of(c_val)
             if worst.is_rational:
                 new_upper = min(new_upper, worst)

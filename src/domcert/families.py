@@ -386,6 +386,32 @@ class EmbeddingResult:
         return self.mapping is not None
 
 
+def _increasing_search(
+    first: Iterable, after: Callable, accept: Callable, depth: int
+) -> Optional[list]:
+    """The first list of `depth` choices, smallest first, whose every prefix
+    passes `accept`, or None.  Position 1 draws from `first`, each later
+    position from `after(previous choice)`; `accept` sees the chosen list
+    with its newest choice appended.  An explicit stack of those iterators,
+    so the walk uses no recursion; an exception from `accept` ends it.
+    """
+    chosen: list = []
+    levels = [iter(first)]
+    while levels and len(chosen) < depth:
+        for c in levels[-1]:
+            chosen.append(c)
+            if accept(chosen):
+                break
+            chosen.pop()
+        else:
+            levels.pop()
+            if chosen:
+                chosen.pop()
+            continue
+        levels.append(iter(after(c)))
+    return chosen if len(chosen) == depth else None
+
+
 def find_order_embedding(src: Family, dst: Family, n: int) -> EmbeddingResult:
     """Search a strictly increasing P on {1..n} into {1..3n} with P(F) in dst
     for every F in src within {1..n}.  Smallest-image-first, so the result is
@@ -393,43 +419,28 @@ def find_order_embedding(src: Family, dst: Family, n: int) -> EmbeddingResult:
     """
     members = enumerate_family(src, n)
     by_max = members_by_max(members, n)
-    mapping: list[int] = []
     nodes = 0
 
-    def ok_at(k: int) -> bool:
-        for f in by_max[k]:
-            image = tuple(mapping[i - 1] for i in f)
-            if not dst.member(image):
-                return False
-        return True
+    def accept(mapping: list[int]) -> bool:
+        nonlocal nodes
+        nodes += 1
+        if nodes > EMBED_NODE_BUDGET:
+            raise BudgetError("embedding search budget exhausted")
+        return all(dst.member(tuple(mapping[i - 1] for i in f)) for f in by_max[len(mapping)])
 
-    levels = [iter(range(1, 3 * n + 1))]  # explicit stack: images left for each position
     try:
-        while levels and len(mapping) < n:
-            for v in levels[-1]:
-                nodes += 1
-                if nodes > EMBED_NODE_BUDGET:
-                    raise BudgetError("embedding search budget exhausted")
-                mapping.append(v)
-                if ok_at(len(mapping)):
-                    break
-                mapping.pop()
-            else:
-                levels.pop()
-                if mapping:
-                    mapping.pop()
-                continue
-            levels.append(iter(range(v + 1, 3 * n + 1)))
-        if len(mapping) == n:
-            full = tuple(mapping)
-            for f in members:  # verify exhaustively before reporting success
-                image = tuple(full[i - 1] for i in f)
-                if not dst.member(image):
-                    raise AssertionError("embedding verification failed")
-            return EmbeddingResult(full, nodes, False)
-        return EmbeddingResult(None, nodes, True)
+        mapping = _increasing_search(
+            range(1, 3 * n + 1), lambda v: range(v + 1, 3 * n + 1), accept, n
+        )
     except BudgetError:
         return EmbeddingResult(None, nodes, True)
+    if mapping is None:
+        return EmbeddingResult(None, nodes, True)
+    full = tuple(mapping)
+    for f in members:  # verify exhaustively before reporting success
+        if not dst.member(tuple(full[i - 1] for i in f)):
+            raise AssertionError("embedding verification failed")
+    return EmbeddingResult(full, nodes, False)
 
 
 def family_cardinality_bound(fam: Family) -> Optional[int]:

@@ -144,6 +144,14 @@ class TestCertifyCli:
         )
         assert code == 3
 
+    def test_search_uses_g_space(self, capsys):
+        # l1 against c0 on three vectors has constant 3
+        argv = ["certify", "search", "basis:L1:4", "--g-space", "C0", "--depth", "3"]
+        code, out = run(capsys, *argv, "--C", "2")
+        assert code == 3 and json.loads(out) == {"nodes": 68, "status": "exhausted"}
+        code, out = run(capsys, *argv, "--C", "3")
+        assert code == 0 and json.loads(out)["g_space"] == "C0"
+
     def test_bracket(self, capsys):
         code, out = run(
             capsys,
@@ -304,6 +312,30 @@ class TestTsirelsonGolden:
         argv = ["dominate", "exact", str(GOLDEN / "dominate_tsirelson_xs.json"), "basis:C0:2"]
         assert main(argv) == 0
         assert capsys.readouterr().out == (GOLDEN / "dominate_exact_tsirelson.out").read_text()
+
+
+class TestSearchEmbedGolden:
+    """stdout and exit code of `fam embed`, `certify search` and `certify
+    bracket`, recorded from the two backtracking loops that one walk
+    replaced; each block is `$ domcert <argv>`, stdout, `exit <code>`."""
+
+    RUNS = [
+        ["fam", "embed", "F[w]", "S[1]", "8"],
+        ["fam", "embed", "F[2]", "S[0]", "4"],
+        ["fam", "embed", "ALL", "S[1]", "6"],
+        ["certify", "search", "basis:X[S[1]]:7", "--xi", "1", "--C", "1", "--depth", "5"],
+        ["certify", "search", "basis:L1:5", "--C", "1/100", "--depth", "4", "--node-budget", "7"],
+        ["certify", "search", "basis:X[S[2]]:6", "--xi", "2", "--C", "1/2", "--depth", "4"],
+        ["certify", "bracket", "basis:L1:4", "--g-space", "C0", "--depth", "4"],
+        ["certify", "bracket", "basis:X[S[1]]:6", "--xi", "1", "--depth", "4"],
+    ]
+
+    def test_byte_identical(self, capsys):
+        out = ""
+        for argv in self.RUNS:
+            code = main(argv)
+            out += f"$ domcert {' '.join(argv)}\n{capsys.readouterr().out}exit {code}\n"
+        assert out == (GOLDEN / "search_embed.out").read_text()
 
 
 class TestDominateCli:

@@ -15,7 +15,6 @@ from domcert.domination import (
     DominationValue,
     VectorSequence,
     basis_sequence,
-    build_t_tree,
     domination_constant_exact,
     domination_lower_bound,
     gamma_bracket,
@@ -187,6 +186,26 @@ class TestExactConstant:
         res = domination_constant_exact(xs, ys)
         assert res.value == 2
         assert norm(ys.space, combine(ys.items, res.witness)) == 1
+
+    def test_lp_left_skips_subsets_holding_w_and_minus_w(self, monkeypatch):
+        # 15 functional rows give C(30, 3) = 4 060 row triples; the 420 that
+        # hold some w and -w are singular and are never solved
+        calls = []
+        real = domination.solve_square
+
+        def counting(a_mat, b_vec):
+            calls.append(a_mat)
+            return real(a_mat, b_vec)
+
+        monkeypatch.setattr(domination, "solve_square", counting)
+        xs = VectorSequence((e(1), e(2), e(3)), Lp(2))
+        ys = VectorSequence(
+            tuple(Vector.of({i: 1 for i in f}) for f in ((1, 2, 3), (2, 3, 4), (3, 4, 5))), X1
+        )
+        res = domination_constant_exact(xs, ys)
+        assert res.value == Mag(Fraction(2), 2)
+        assert res.witness == (-1, 1, 0)
+        assert len(calls) <= 3640
 
     def test_lp_left_rejects_overlapping_left_vectors(self):
         xs = VectorSequence((e(1), Vector.of({1: 1, 2: 1})), Lp(2))
@@ -408,33 +427,6 @@ class TestRightDominance:
             assert auto.constant == lp.constant
 
 
-class TestTTree:
-    def test_c0_pairings(self):
-        rho = VectorSequence((e(1), e(2)), C0())
-        tree = build_t_tree(rho, Fraction(1), C0(), 2, 2)
-        assert len(tree) == 6  # root, four pairs, one depth-2 chain
-
-    def test_scaled_root_only(self):
-        rho = VectorSequence((e(1).scale(2),), L1())
-        tree = build_t_tree(rho, Fraction(1), C0(), 1, 1)
-        assert len(tree) == 1
-
-    def test_depth_zero(self):
-        rho = VectorSequence((e(1),), L1())
-        tree = build_t_tree(rho, Fraction(1), C0(), 3, 0)
-        assert tree.contains(())
-        assert len(tree) == 1
-
-    def test_initial_segment_closed_and_monotone(self):
-        rho = VectorSequence((e(1).scale(2), e(2)), L1())
-        small = build_t_tree(rho, Fraction(1), C0(), 3, 2)
-        big = build_t_tree(rho, Fraction(3), C0(), 3, 2)
-        assert small.nodes <= big.nodes
-        for node in big.nodes:
-            for k in range(len(node)):
-                assert node[:k] in big.nodes
-
-
 class TestVerify:
     def test_xi_zero_always_ok(self):
         rho = VectorSequence((e(1).scale(5), e(2)), L1())
@@ -530,6 +522,14 @@ class TestSearch:
         out = search_certificate(rho, None, Fraction(1, 100), 4, g_space=C0(), node_budget=3)
         assert out.status == "budget"
 
+    def test_found_carries_its_verified_worst_ratio(self):
+        rho = basis_sequence(L1(), 3)
+        out = search_certificate(rho, None, Fraction(5), 3, g_space=C0())
+        report = verify_certificate(out.certificate, rho)
+        assert out.status == "found" and report.ok
+        assert out.worst_ratio == report.worst_ratio == 3
+        assert search_certificate(rho, None, Fraction(2), 3, g_space=C0()).worst_ratio is None
+
 
 class TestGammaBracket:
     def test_l1_versus_c0(self):
@@ -548,6 +548,20 @@ class TestGammaBracket:
         bracket = gamma_bracket(rho, from_int(1), 4)
         assert bracket.lower >= 1 and bracket.upper == 1
         assert bracket.certificate is not None
+
+    def test_found_certificate_verified_once(self, monkeypatch):
+        # the search's own verification supplies the worst ratio
+        calls = []
+        real = domination.verify_certificate
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(domination, "verify_certificate", counting)
+        bracket = gamma_bracket(basis_sequence(L1(), 4), None, 4, g_space=C0())
+        assert bracket.lower == 4 and bracket.upper == 4
+        assert len(calls) == 1 and calls[0].C == 4
 
     @pytest.mark.parametrize("resolution", [Fraction(0), Fraction(-1)])
     def test_nonpositive_resolution_rejected(self, resolution):

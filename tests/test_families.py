@@ -1,4 +1,5 @@
 import itertools
+import zlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from domcert.families import (
     Restrict,
     Schreier,
     SumFamily,
+    _increasing_search,
     almost_monotone_witness,
     as_finset,
     check_regular,
@@ -319,6 +321,62 @@ class TestEmbedding:
     def test_failure_reported(self):
         res = find_order_embedding(S1, FineSchreier(from_int(1)), 4)
         assert not res.found and res.exhausted
+
+
+def recursive_search(first, after, accept, depth):
+    """Plain recursive smallest-first DFS: the reference for the walk."""
+
+    def extend(chosen, choices):
+        if len(chosen) == depth:
+            return chosen
+        for c in choices:
+            chosen.append(c)
+            if accept(chosen):
+                found = extend(chosen, after(c))
+                if found is not None:
+                    return found
+            chosen.pop()
+        return None
+
+    return extend([], first)
+
+
+class TestIncreasingSearch:
+    """`_increasing_search` against the recursive DFS: the same answer and
+    the same sequence of `accept` calls, also when `accept` stops the search
+    by raising."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        universe=st.lists(st.integers(1, 30), unique=True, max_size=12).map(sorted),
+        gap=st.integers(1, 3),
+        depth=st.integers(0, 6),
+        seed=st.integers(0, 2**16),
+        reject=st.integers(0, 100),
+        budget=st.none() | st.integers(1, 60),
+    )
+    def test_matches_recursive_dfs(self, universe, gap, depth, seed, reject, budget):
+        def after(v):
+            return [u for u in universe if u >= v + gap]
+
+        def run(search):
+            log = []
+
+            def accept(chosen):
+                log.append(tuple(chosen))
+                if budget is not None and len(log) > budget:
+                    raise BudgetError("budget")
+                return zlib.crc32(repr((seed, chosen)).encode()) % 100 >= reject
+
+            try:
+                return search(iter(universe), after, accept, depth), log
+            except BudgetError:
+                return "budget", log
+
+        assert run(_increasing_search) == run(recursive_search)
+
+    def test_depth_zero_is_the_empty_list(self):
+        assert _increasing_search([], lambda v: [], lambda chosen: False, 0) == []
 
 
 class TestGrammar:
