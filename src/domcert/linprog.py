@@ -1,15 +1,19 @@
 """Exact rational linear programming and linear algebra.
 
-A small two-phase simplex with Bland's rule over an integer tableau.  Problem
-sizes here are tiny (at most a few hundred variables, single-digit constraint
-counts), so clarity beats sparsity.  Each tableau row is a list of integers
-standing for itself divided by its basic entry, a positive denominator.  A
-pivot on entry p of row r (its sign made positive) replaces every other row i
-by p.row_i - row_i[e].row_r divided by its gcd, fraction-free as in Bareiss
-and Edmonds.  A positive row factor changes neither the sign of a reduced cost
-nor a ratio rhs_i / a_ie, so Bland's rule and the ratio test with its
-tie-break pick the pivots of the same simplex over `Fraction` entries, with
-the same bases and answers; values become `Fraction`s only at the output.
+All exact elimination here runs on one integer pivot, `_pivot`.  A row is a
+list of integers standing for itself divided by a positive denominator, its
+pivot entry.  A pivot on entry p of row r (its sign made positive) replaces
+every other row i by p.row_i - row_i[e].row_r divided by its gcd,
+fraction-free as in Bareiss and Edmonds.  The simplex, a two-phase one with
+Bland's rule, pivots its tableau so; `_reduce` is Gauss-Jordan elimination by
+the same pivot, and gives the simplex duals, the basis inverses of
+`Polyhedron`, `nullspace` and `solve_square`.  Rationals enter as integer rows
+through `_scaled` and become `Fraction`s only at the output.  Problem sizes
+here are tiny (at most a few hundred variables, single-digit constraint
+counts), so clarity beats sparsity.  A positive row factor changes neither the
+sign of a reduced cost nor a ratio rhs_i / a_ie, so Bland's rule and the ratio
+test with its tie-break pick the pivots of the same simplex over `Fraction`
+entries, with the same bases and answers.
 
 Every optimisation in domcert is posed in one form: a polyhedron given as
 `(rows, rhs)`, meaning {a : rows[k].a <= rhs[k] for every k}, and a linear
@@ -37,65 +41,6 @@ from typing import Optional, Sequence
 Row = list[Fraction]
 
 
-def _frac_rows(rows: Sequence[Sequence[Fraction]]) -> list[Row]:
-    return [[Fraction(v) for v in row] for row in rows]
-
-
-def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[Row], list[int]]:
-    m = _frac_rows(rows)
-    pivots: list[int] = []
-    r = 0
-    cols = len(m[0]) if m else 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                factor = m[i][c]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
-
-
-def nullspace(rows: Sequence[Sequence[Fraction]], n: int) -> list[Row]:
-    """Basis of {v : row . v = 0 for all rows} in dimension n."""
-    if not rows:
-        return [[Fraction(i == j) for j in range(n)] for i in range(n)]
-    m, pivots = rref(rows)
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -m[r][f]
-        basis.append(v)
-    return basis
-
-
-def solve_square(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> Optional[Row]:
-    """Solve a (possibly singular) square system; None when inconsistent or
-    underdetermined."""
-    n = len(a)
-    aug = [list(map(Fraction, row)) + [Fraction(rhs)] for row, rhs in zip(a, b)]
-    m, pivots = rref(aug)
-    if len(pivots) < n or (pivots and pivots[-1] == n):
-        return None
-    if any(all(v == 0 for v in row[:n]) and row[n] != 0 for row in m):
-        return None
-    x = [Fraction(0)] * n
-    for r, c in enumerate(pivots):
-        x[c] = m[r][n]
-    return x
-
-
 def _scaled(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """Rationals as integers over their least positive common denominator."""
     values = [Fraction(v) for v in values]
@@ -120,16 +65,47 @@ def _pivot(rows: list[list[int]], r: int, col: int) -> None:
             rows[i] = [u // g for u in row] if g > 1 else row
 
 
-def _gauss_jordan(rows: list[list[int]]) -> bool:
-    """Reduce integer rows in place until row k has, of the first len(rows)
-    columns, a positive entry in column k only; False when those are singular."""
-    for k in range(len(rows)):
-        r = next((i for i in range(k, len(rows)) if rows[i][k]), None)
+def _reduce(rows: list[list[int]], cols: int) -> list[int]:
+    """Gauss-Jordan elimination in place over the first `cols` columns, by
+    `_pivot`; returns the pivot columns.  A column's pivot row is the first
+    row at or below the rank so far with a nonzero entry there.  Row k ends
+    as row k of the reduced row echelon form times its entry in column
+    pivots[k], which is positive."""
+    pivots: list[int] = []
+    for col in range(cols):
+        k = len(pivots)
+        r = next((i for i in range(k, len(rows)) if rows[i][col]), None)
         if r is None:
-            return False
+            continue
         rows[k], rows[r] = rows[r], rows[k]
-        _pivot(rows, k, k)
-    return True
+        _pivot(rows, k, col)
+        pivots.append(col)
+    return pivots
+
+
+def nullspace(rows: Sequence[Sequence[Fraction]], n: int) -> list[Row]:
+    """Basis of {v : row . v = 0 for all rows} in dimension n, one vector per
+    free column f with v[f] = 1 and zeros on the other free columns."""
+    reduced = [_scaled(row)[0] for row in rows]
+    pivots = _reduce(reduced, n)
+    basis = []
+    for f in (c for c in range(n) if c not in pivots):
+        v = [Fraction(0)] * n
+        v[f] = Fraction(1)
+        for row, c in zip(reduced, pivots):
+            v[c] = -Fraction(row[f], row[c])
+        basis.append(v)
+    return basis
+
+
+def solve_square(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> Optional[Row]:
+    """Solve a square system; None when it is singular (inconsistent or
+    underdetermined)."""
+    n = len(a)
+    aug = [_scaled([*row, rhs])[0] for row, rhs in zip(a, b)]
+    if len(_reduce(aug, n)) < n:
+        return None
+    return [Fraction(row[n], row[k]) for k, row in enumerate(aug)]
 
 
 @dataclass
@@ -222,7 +198,7 @@ def solve_lp(
     # being work[r] / (flips[r] den_r); dropped redundant rows get zero
     system = [[work[r][j] for r in row_ids] + [c_int[j]] for j in basis]
     duals: Optional[Row] = None
-    if _gauss_jordan(system):
+    if len(_reduce(system, m)) == m:
         duals = [Fraction(0)] * len(flips)
         for k, (r, eq) in enumerate(zip(row_ids, system)):
             duals[r] = Fraction(flips[r] * scaled[r][1] * eq[m], eq[k] * c_den)
@@ -246,7 +222,7 @@ def _dual_lp(
     res = solve_lp(a_mat, list(c), rhs)
     if res.status == "infeasible":
         # c is not a nonnegative combination of the rows
-        if any(_dot(c, v) != 0 for v in nullspace(rows, d)):
+        if any(sum(a * b for a, b in zip(c, v)) for v in nullspace(rows, d)):
             raise ValueError("objective outside the span of the constraints")
         raise ValueError(
             "unbounded support function: objective outside the cone of the constraints"
@@ -259,10 +235,6 @@ def _dual_lp(
     if res.status != "optimal":
         raise ValueError(f"unexpected LP status {res.status}")
     return res
-
-
-def _dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    return sum((Fraction(a) * b for a, b in zip(u, v)), Fraction(0))
 
 
 def support_function(
@@ -302,7 +274,7 @@ def _integer_inverse(square: list[list[int]]) -> tuple[list[list[int]], int]:
     """The inverse of a nonsingular integer matrix as (integers, denominator)."""
     n = len(square)
     reduced = [row + [int(i == j) for j in range(n)] for i, row in enumerate(square)]
-    _gauss_jordan(reduced)
+    _reduce(reduced, n)
     scale = math.lcm(*(row[k] for k, row in enumerate(reduced)))
     return [[v * (scale // row[k]) for v in row[n:]] for k, row in enumerate(reduced)], scale
 
@@ -316,7 +288,7 @@ class Polyhedron:
         rows: Sequence[Sequence[Fraction]],
         rhs: Optional[Sequence[Fraction]] = None,
     ):
-        self.rows = _frac_rows(rows)
+        self.rows = [[Fraction(v) for v in row] for row in rows]
         self.rhs = [Fraction(1)] * len(rows) if rhs is None else [Fraction(v) for v in rhs]
         # row k and rhs[k] over integers, (R_k | h_k) = s_k (rows[k] | rhs[k])
         self._scaled = [_scaled(row + [h]) for row, h in zip(self.rows, self.rhs)]

@@ -135,7 +135,7 @@ def limit_combine(
     """Diagonalize nested certificates at the approximating levels of a limit
     ordinal: M(n) = M_n(n), L(n) = max_k L_k(s^n_k) over k <= n, constant
     r * max C_k."""
-    from .domination import right_dominance_defect
+    from .domination import EXACT_DIM_BOUND, right_dominance_defect
     from .ordinals import OMEGA, from_int, fundamental_sequence
 
     if xi.classify() != "limit":
@@ -186,7 +186,7 @@ def limit_combine(
         increasing = all(a < b for a, b in zip(mm, mm[1:])) and all(
             a < b for a, b in zip(ll, ll[1:])
         )
-        if increasing and len(mm) <= 6:
+        if increasing and len(mm) <= EXACT_DIM_BOUND:
             rep = right_dominance_defect(certs[0].g_space, mm, ll, r)
             if not rep.ok:
                 raise TransferError(

@@ -338,6 +338,35 @@ class TestSearchEmbedGolden:
         assert out == (GOLDEN / "search_embed.out").read_text()
 
 
+class TestLpGolden:
+    """stdout and exit code of `dominate exact` on the l_p left routes, whose
+    witnesses come straight from `solve_square` and `nullspace`, recorded from
+    the `Fraction` elimination that the integer one replaced; each block is
+    `$ domcert <argv>` with the files named as in tests/golden, stdout,
+    `exit <code>`."""
+
+    RUNS = [
+        # disjoint right vectors: the positive orthant
+        ["dominate_lp_orthant_xs.json", "dominate_lp_orthant_ys.json"],
+        # sqrt(5) at the vertex (-2, 1) outside the orthant
+        ["basis:LP(2):2", "dominate_lp_sqrt5_ys.json"],
+        # y_2 = y_3: the direction (0, 1, -1) pinned at 0, value 2
+        ["dominate_lp_pinned_xs.json", "dominate_lp_pinned_ys.json"],
+        # three overlapping X[S[1]] vectors, 15 functional rows
+        ["basis:LP(2):3", "dominate_lp_rows15_ys.json"],
+        # y_1 = y_2: infinite, the witness a nullspace vector
+        ["basis:LP(2):2", "dominate_lp_infinite_ys.json"],
+    ]
+
+    def test_byte_identical(self, capsys):
+        out = ""
+        for args in self.RUNS:
+            code = main(["dominate", "exact", *(str(GOLDEN / a) if a.endswith(".json") else a
+                                                for a in args)])
+            out += f"$ domcert dominate exact {' '.join(args)}\n{capsys.readouterr().out}exit {code}\n"
+        assert out == (GOLDEN / "dominate_exact_lp.out").read_text()
+
+
 class TestDominateCli:
     def test_exact(self, capsys):
         code, out = run(capsys, "dominate", "exact", "basis:L1:2", "basis:C0:2")

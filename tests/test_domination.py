@@ -29,11 +29,12 @@ from domcert.domination import (
     _unsigned_rows,
 )
 from domcert.families import Schreier
-from domcert.linprog import Polyhedron, solve_square, support_function
+from domcert.linprog import Polyhedron, support_function
 from domcert.norms import C0, Combinatorial, L1, Lp, norm, norming_functionals, parse_space
 from domcert.ordinals import from_int
 from domcert.rationals import MAG_INF, Mag
 from domcert.vectors import Vector, combine
+from reference_linalg import ref_nullspace, ref_solve_square
 
 e = Vector.basis
 S1 = Schreier(from_int(1))
@@ -42,14 +43,22 @@ X1 = Combinatorial(S1)
 
 def brute_constant(xs: VectorSequence, ys: VectorSequence):
     """Independent oracle: enumerate the polytope vertices from all sign
-    systems of the y-side functional rows and evaluate the x-norm there."""
+    systems of the y-side functional rows and evaluate the x-norm there.  A
+    direction v that every row kills (v in their nullspace N) makes the
+    constant infinite unless the x side kills it too; then the x-norm is
+    constant along N, and the vertices are taken with v.a = 0 for v in N."""
     t = len(xs)
     rows = _functional_rows(ys.space, ys.items)
+    pinned = ref_nullspace(rows, t)
+    if any(norm(xs.space, combine(xs.items, v)) > 0 for v in pinned):
+        return MAG_INF
+    size = t - len(pinned)
+    rhs = [Fraction(1)] * size + [Fraction(0)] * len(pinned)
     best = Mag.of(Fraction(0))
-    for subset in itertools.combinations(range(len(rows)), t):
-        for signs in itertools.product((1, -1), repeat=t):
-            a_mat = [[signs[i] * c for c in rows[subset[i]]] for i in range(t)]
-            sol = solve_square(a_mat, [Fraction(1)] * t)
+    for subset in itertools.combinations(range(len(rows)), size):
+        for signs in itertools.product((1, -1), repeat=size):
+            a_mat = [[signs[i] * c for c in rows[subset[i]]] for i in range(size)] + pinned
+            sol = ref_solve_square(a_mat, rhs)
             if sol is None:
                 continue
             if any(
@@ -155,9 +164,13 @@ class TestExactConstant:
     def test_lp_left_overlapping_right_matches_brute_oracle(self):
         # signed entries and odd p: the objective is sum |a_n|^p d_n at
         # vertices with negative coordinates
+        zero = Vector.of({})
         cases = [
             ((e(1), e(2)), (e(1), Vector.of({1: 1, 2: 1})), C0(), 2),
             ((e(1), e(2)), (e(1), Vector.of({1: 1, 2: 1})), C0(), 3),
+            # y_2 = y_3: the rows do not span R^3, so the oracle pins (0, 1, -1)
+            ((e(1), zero, zero), (e(1), Vector.of({1: 1, 2: 1}), Vector.of({1: 1, 2: 1})),
+             C0(), 2),
         ]
         rng = random.Random(6)
         for _ in range(8):
@@ -184,7 +197,7 @@ class TestExactConstant:
         xs = VectorSequence((e(1), zero, zero), Lp(2))
         ys = VectorSequence((e(1), Vector.of({1: 1, 2: 1}), Vector.of({1: 1, 2: 1})), C0())
         res = domination_constant_exact(xs, ys)
-        assert res.value == 2
+        assert res.value == brute_constant(xs, ys) == 2
         assert norm(ys.space, combine(ys.items, res.witness)) == 1
 
     def test_lp_left_skips_subsets_holding_w_and_minus_w(self, monkeypatch):

@@ -18,9 +18,9 @@ from domcert.linprog import (
     Polyhedron,
     max_min_over_simplex,
     solve_lp,
-    solve_square,
     support_function,
 )
+from reference_linalg import ref_nullspace, ref_solve_square, rref
 
 F = Fraction
 
@@ -180,7 +180,7 @@ def oracle_solve_lp(
         [flips[row_ids[i]] * work[row_ids[i]][j] for i in range(m)] for j in basis
     ]
     cb = [Fraction(c[j]) for j in basis]
-    y_kept = solve_square(bt_rows, cb) if m else []
+    y_kept = ref_solve_square(bt_rows, cb) if m else []
     duals: Optional[Row] = None
     if y_kept is not None:
         duals = [Fraction(0)] * len(flips)
@@ -229,6 +229,67 @@ class TestKernelDifferential:
                 seen["degenerate vertex"] += any(res.x[j] == 0 for j in res.basis)
         paths = ("optimal", "infeasible", "unbounded", "negative b", "dropped row",
                  "degenerate vertex")
+        assert all(seen[p] >= 10 for p in paths), seen
+
+
+def random_system(seed, square):
+    """A seeded system A x = b of m rows over n <= 6 columns, n = 0 included,
+    m = n when square.  A row may be zero or a combination of two earlier
+    rows, its b the same combination (consistent) or not (inconsistent)."""
+    rng = random.Random(seed)
+    n = rng.randint(0, 6)
+    m = n if square else rng.randint(0, 7)
+    entries = [F(v) for v in (-2, -1, 0, 0, 1, 1, 2)] + [F(1, 2), F(-3, 2), F(2, 3)]
+    a = [[rng.choice(entries) for _ in range(n)] for _ in range(m)]
+    b = [rng.choice(entries) for _ in range(m)]
+    for k in range(m):
+        draw = rng.random()
+        if draw < 0.1:
+            a[k] = [F(0)] * n
+        elif draw < 0.4 and k >= 2:
+            i, j = rng.sample(range(k), 2)
+            f, g = rng.choice(entries), rng.choice(entries)
+            a[k] = [f * u + g * v for u, v in zip(a[i], a[j])]
+            b[k] = f * b[i] + g * b[j] + rng.choice([F(0), F(1)])
+    return a, b, n
+
+
+class TestLinearAlgebraDifferential:
+    """`nullspace` and `solve_square` against the `Fraction` reduced row
+    echelon form of reference_linalg.  That form is unique, so the nullspace
+    bases agree vector by vector, and a nonsingular system has one solution."""
+
+    SEEDS = range(1500)
+
+    def test_nullspace_matches_reference(self):
+        for seed in self.SEEDS:
+            a, _, n = random_system(seed, square=False)
+            basis = linprog.nullspace(a, n)
+            assert basis == ref_nullspace(a, n), (seed, a)
+            assert all(dot(row, v) == 0 for row in a for v in basis)
+
+    def test_solve_square_matches_reference(self):
+        for seed in self.SEEDS:
+            a, b, _ = random_system(seed, square=True)
+            x = linprog.solve_square(a, b)
+            assert x == ref_solve_square(a, b), (seed, a, b)
+            assert x is None or all(dot(row, x) == v for row, v in zip(a, b))
+
+    def test_draws_reach_every_path(self):
+        seen = Counter()
+        for seed in self.SEEDS:
+            a, _, n = random_system(seed, square=False)
+            seen["n = 0"] += n == 0
+            seen["zero row"] += n > 0 and any(not any(row) for row in a)
+            seen["dependent rows"] += len(rref(a)[1]) < len(a)
+            a, b, n = random_system(seed, square=True)
+            _, pivots = rref([[*row, v] for row, v in zip(a, b)])
+            if pivots == list(range(n)):
+                seen["nonsingular"] += 1
+            else:
+                seen["inconsistent" if n in pivots else "singular, consistent"] += 1
+        paths = ("n = 0", "zero row", "dependent rows", "nonsingular", "inconsistent",
+                 "singular, consistent")
         assert all(seen[p] >= 10 for p in paths), seen
 
 
@@ -416,7 +477,7 @@ def brute_max_min(columns):
     simplex = [F(1)] * k + [F(0)]
     best = None
     for tight in itertools.combinations(ineqs, k):
-        sol = solve_square([simplex, *tight], [F(1)] + [F(0)] * k)
+        sol = ref_solve_square([simplex, *tight], [F(1)] + [F(0)] * k)
         if sol is None or any(dot(g, sol) > 0 for g in ineqs):
             continue
         if best is None or sol[k] > best:

@@ -17,7 +17,7 @@ from domcert.domination import (
     verify_certificate,
 )
 from domcert.families import Explicit, Schreier, enumerate_family
-from domcert.linprog import max_min_over_simplex, solve_square
+from domcert.linprog import max_min_over_simplex
 from domcert.norms import C0, Combinatorial, L1, Lp, norming_functionals
 from domcert.ordinals import OMEGA, from_int
 from domcert.transfer import (
@@ -32,6 +32,7 @@ from domcert.transfer import (
     wn_select,
 )
 from domcert.vectors import Vector
+from reference_linalg import ref_solve_square
 
 e = Vector.basis
 S1 = Schreier(from_int(1))
@@ -304,7 +305,7 @@ def _oracle_l2_feasible(vectors: list[Vector], eps: Fraction) -> bool:
         for size in range(1, k + 1):
             for subset in itertools.combinations(range(k), size):
                 sub = [[signed[i][j] for j in subset] for i in subset]
-                mu = solve_square(sub, [eps] * size)
+                mu = ref_solve_square(sub, [eps] * size)
                 if mu is None or any(v < 0 for v in mu):
                     continue
                 vals = [
