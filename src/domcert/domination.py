@@ -7,8 +7,10 @@ for a polyhedral left space as the largest support value of the polytope over
 the left norming functionals, for an l_p left norm over pairwise disjoint
 vectors by vertex enumeration of the positive part of the polytope.  The
 polytope is passed in the one LP form `(rows, rhs)`, {a : rows[k].a <= rhs[k]}:
-each right functional row w gives the rows w and -w with right-hand side 1,
-and its positive part is the rows with right-hand side 1 followed by
+each right functional row W / D, built in integers by `_functional_rows`,
+gives the rows W and -W with right-hand side D, and the left functional rows
+are the objectives, scaled back by their own denominator only in the value;
+the positive part is the rows with right-hand side 1 followed by
 -e_i <= 0.  Each row system gets one `linprog.Polyhedron`, which answers all
 the left functionals from its cached optimal bases, so it runs one simplex
 per distinct optimal vertex; the witness is the maximizer a fresh
@@ -35,6 +37,7 @@ import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
+from operator import add, sub
 from typing import Optional
 
 from .families import (
@@ -61,7 +64,6 @@ from .norms import (
     format_space,
     is_polyhedral,
     norm,
-    norming_functionals,
     Lp,
     parse_space,
 )
@@ -138,20 +140,47 @@ class DominationValue:
         return self.value.is_finite
 
 
-def _functional_rows(space: SpaceSpec, vectors: tuple[Vector, ...]) -> list[tuple[Fraction, ...]]:
+def _functional_rows(
+    space: SpaceSpec, vectors: tuple[Vector, ...]
+) -> tuple[list[tuple[int, ...]], int]:
+    """The distinct nonzero rows (phi(v) for v in vectors) over the norming
+    functionals phi, each negated where needed so that its first nonzero
+    entry is positive, sorted; as integer rows W over one positive
+    denominator D, the row W standing for W / D.
+
+    D is the least common denominator of the vector coefficients times that
+    of the absolute functionals' coefficients (Tsirelson's theta-weights), so
+    every row is a signed sum of the integer columns of the support indices.
+    The row of the sign pattern -eps is minus that of eps, so only the patterns
+    whose first sign is + are formed.  A positive common scale keeps the
+    lexicographic order of the rows, so they come in the order of their
+    rational values."""
     support = sorted({i for v in vectors for i in v.support})
-    rows: set[tuple[Fraction, ...]] = set()
-    for phi in norming_functionals(space, tuple(support)):
-        row = tuple(phi.dot(v) for v in vectors)
-        if all(c == 0 for c in row):
+    vec_den = math.lcm(*(c.denominator for v in vectors for _, c in v.entries))
+    columns = {i: [0] * len(vectors) for i in support}
+    for n, v in enumerate(vectors):
+        for i, c in v.entries:
+            columns[i][n] = c.numerator * (vec_den // c.denominator)
+    functionals = absolute_functionals(space, tuple(support))
+    phi_den = math.lcm(*(c.denominator for phi in functionals for _, c in phi.entries))
+    rows: set[tuple[int, ...]] = set()
+    for phi in functionals:
+        parts = [
+            [c.numerator * (phi_den // c.denominator) * u for u in columns[i]]
+            for i, c in phi.entries
+        ]
+        if not parts:
             continue
-        for lead in row:
-            if lead != 0:
-                if lead < 0:
-                    row = tuple(-c for c in row)
-                break
-        rows.add(row)
-    return sorted(rows)
+        sums = [tuple(parts[0])]
+        for part in parts[1:]:
+            sums = [tuple(map(add, s, part)) for s in sums] + [
+                tuple(map(sub, s, part)) for s in sums
+            ]
+        for row in sums:
+            lead = next((u for u in row if u), 0)
+            if lead:
+                rows.add(row if lead > 0 else tuple(-u for u in row))
+    return sorted(rows), vec_den * phi_den
 
 
 def _nonneg_disjoint(seq: VectorSequence) -> bool:
@@ -217,7 +246,7 @@ def domination_constant_exact(
             )
         return memo[key]
 
-    rows = _functional_rows(ys.space, ys.items)
+    rows, den = _functional_rows(ys.space, ys.items)
 
     for v in nullspace(rows, t):
         z = combine(xs.items, v)
@@ -228,15 +257,19 @@ def domination_constant_exact(
         return DominationValue(MAG_ZERO, None)
 
     if is_polyhedral(xs.space):
-        # |w.a| <= 1 as the two rows w and -w
+        # |W.a / D| <= 1 as the two rows W and -W with right-hand side D
         signed = [s for w in rows for s in (w, tuple(-v for v in w))]
-        objectives = _functional_rows(xs.space, xs.items)
+        rhs = [den] * len(signed)
+        objectives, x_den = _functional_rows(xs.space, xs.items)
         return _largest(
-            Polyhedron(signed), objectives, lambda c: support_function(signed, c)[1]
+            Polyhedron(signed, rhs),
+            objectives,
+            lambda c: support_function(signed, c, rhs)[1],
+            x_den,
         )
 
     if isinstance(xs.space, Lp):
-        return _lp_left_constant(xs, ys, rows)
+        return _lp_left_constant(xs, ys, [tuple(Fraction(v, den) for v in w) for w in rows])
 
     raise DominationError(
         f"exact mode needs a polyhedral or disjoint-support Lp left space, got "
@@ -244,22 +277,22 @@ def domination_constant_exact(
     )
 
 
-def _largest(polytope: Polyhedron, objectives, solve_maximizer) -> DominationValue:
-    """The largest support value of `polytope` over the objectives, with the
-    maximizer of the first objective attaining it.  When the cached basis
-    that answered it cannot vouch that its vertex is the maximizer a fresh
-    solve gives, `solve_maximizer` re-solves that one objective."""
-    best: Mag = MAG_ZERO
+def _largest(polytope: Polyhedron, objectives, solve_maximizer, den: int = 1) -> DominationValue:
+    """The largest support value of `polytope` over the objectives c / den,
+    with the maximizer of the first objective attaining it.  When the cached
+    basis that answered it cannot vouch that its vertex is the maximizer a
+    fresh solve gives, `solve_maximizer` re-solves that one objective."""
+    best = Fraction(0)
     best_c = best_wit = None
     for c in objectives:
         value, maximizer, _ = polytope.support(c)
-        if Mag.of(value) > best:
-            best, best_c, best_wit = Mag.of(value), c, maximizer
+        if value > best:
+            best, best_c, best_wit = value, c, maximizer
     if best_c is None:
-        return DominationValue(best, None)
+        return DominationValue(MAG_ZERO, None)
     if best_wit is None:
         best_wit = solve_maximizer(best_c)
-    return DominationValue(best, tuple(best_wit))
+    return DominationValue(Mag.of(best / den), tuple(best_wit))
 
 
 def _orthant_system(rows: list[tuple[Fraction, ...]], t: int) -> tuple[list, list[Fraction]]:

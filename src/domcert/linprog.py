@@ -8,19 +8,25 @@ fraction-free as in Bareiss and Edmonds.  The simplex, a two-phase one with
 Bland's rule, pivots its tableau so; `_reduce` is Gauss-Jordan elimination by
 the same pivot, and gives the simplex duals, the basis inverses of
 `Polyhedron`, `nullspace` and `solve_square`.  Rationals enter as integer rows
-through `_scaled` and become `Fraction`s only at the output.  Problem sizes
-here are tiny (at most a few hundred variables, single-digit constraint
-counts), so clarity beats sparsity.  A positive row factor changes neither the
-sign of a reduced cost nor a ratio rhs_i / a_ie, so Bland's rule and the ratio
-test with its tie-break pick the pivots of the same simplex over `Fraction`
-entries, with the same bases and answers.
+through `_scaled` (integers pass as they are) and become `Fraction`s only at
+the output.  Problem sizes here are tiny (at most a few hundred variables,
+single-digit constraint counts), so clarity beats sparsity.  A positive row
+factor changes neither the sign of a reduced cost nor a ratio rhs_i / a_ie, so
+Bland's rule and the ratio test with its tie-break pick the pivots of the same
+simplex over `Fraction` entries, with the same bases and answers.
 
 Every optimisation in domcert is posed in one form: a polyhedron given as
 `(rows, rhs)`, meaning {a : rows[k].a <= rhs[k] for every k}, and a linear
 objective c maximized over it in dual form, min rhs.l over l >= 0 with
 sum_k l_k rows[k] = c.  `support_function` solves one objective; the
 symmetric domination polytope, its positive orthant part and the max-min over
-a simplex are row lists in this form.
+a simplex are row lists in this form.  Each row is scaled to integers once,
+(R_k | h_k) = s_k (rows[k] | rhs[k]) with s_k > 0, and with c = c_int / den
+the dual is solved as min h.mu over mu >= 0 with sum_k mu_k R_k = c_int: its
+constraint matrix is the transpose of the R_k, and l_k = mu_k s_k / den.
+Scaling column k and its cost by s_k and the right-hand side by den leaves
+Bland's entering column and the ratio test unchanged, so the pivots are those
+of the rational form, and the simplex duals are the maximizer itself.
 
 `Polyhedron` maximizes many objectives over one polyhedron and keeps the
 optimal bases it has found.  Only c changes between them, so a cached basis B
@@ -43,6 +49,8 @@ Row = list[Fraction]
 
 def _scaled(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """Rationals as integers over their least positive common denominator."""
+    if all(type(v) is int for v in values):
+        return list(values), 1
     values = [Fraction(v) for v in values]
     den = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
@@ -124,8 +132,12 @@ def solve_lp(
     c: Sequence[Fraction],
 ) -> LPResult:
     """min c.x subject to A x = b, x >= 0 (A is m x n)."""
-    m = len(a)
-    n = len(a[0]) if m else len(c)
+    m, n = len(a), len(c)
+    if len(b) != m or any(len(row) != n for row in a):
+        raise ValueError(
+            f"shape mismatch: {m} rows, {len(b)} right-hand sides, {n} costs; "
+            f"each row needs one entry per cost"
+        )
     # each row (A_i | b_i) over integers, negated when b_i < 0
     scaled = [_scaled([*row, rhs]) for row, rhs in zip(a, b)]
     flips = [-1 if ints[-1] < 0 else 1 for ints, _ in scaled]
@@ -205,24 +217,26 @@ def solve_lp(
     return LPResult("optimal", x, obj, duals, list(basis), row_ids)
 
 
-def _dual_lp(
-    rows: Sequence[Sequence[Fraction]],
-    c: Sequence[Fraction],
-    rhs: Sequence[Fraction],
-) -> LPResult:
-    """Solve max c.a over {a : rows.a <= rhs} in dual form, min rhs.l over
-    l >= 0 with sum_k l_k rows[k] = c, whose constraint matrix is the
-    transpose of `rows`; raise ValueError when there is no finite maximum."""
-    d = len(c)
-    if not rows:
-        if any(Fraction(v) != 0 for v in c):
+def _dual_lp(system: list[tuple[list[int], int]], c_int: list[int], den: int) -> LPResult:
+    """Solve max c.a over {a : R_k.a <= h_k}, c = c_int / den, for the
+    integer rows (R_k | h_k) = s_k (rows[k] | rhs[k]) given as the pairs
+    (R_k + [h_k], s_k), in dual form: min h.mu over mu >= 0 with
+    sum_k mu_k R_k = c_int.  The result is read back in the rational form: x
+    holds the multipliers l_k = mu_k s_k / den, the objective is h.mu / den,
+    and the duals are the maximizer.  Raises ValueError when there is no
+    finite maximum."""
+    d = len(c_int)
+    if not system:
+        if any(c_int):
             raise ValueError("unbounded support function: no constraints")
         return LPResult("optimal", [], Fraction(0), [Fraction(0)] * d, [], [])
-    a_mat = [[row[i] for row in rows] for i in range(d)]
-    res = solve_lp(a_mat, list(c), rhs)
+    res = solve_lp(
+        [[r[i] for r, _ in system] for i in range(d)], c_int, [r[-1] for r, _ in system]
+    )
     if res.status == "infeasible":
         # c is not a nonnegative combination of the rows
-        if any(sum(a * b for a, b in zip(c, v)) for v in nullspace(rows, d)):
+        kernel = nullspace([r[:-1] for r, _ in system], d)
+        if any(sum(a * b for a, b in zip(c_int, v)) for v in kernel):
             raise ValueError("objective outside the span of the constraints")
         raise ValueError(
             "unbounded support function: objective outside the cone of the constraints"
@@ -234,7 +248,10 @@ def _dual_lp(
         )
     if res.status != "optimal":
         raise ValueError(f"unexpected LP status {res.status}")
-    return res
+    lam = [Fraction(0)] * len(system)
+    for k in res.basis:
+        lam[k] = res.x[k] * Fraction(system[k][1], den)
+    return LPResult("optimal", lam, res.objective / den, res.duals, res.basis, res.kept)
 
 
 def support_function(
@@ -244,15 +261,12 @@ def support_function(
 ) -> tuple[Fraction, Optional[Row], Row]:
     """max c.a over the polyhedron {a : rows[k].a <= rhs[k] for every k}.
 
-    `rhs` defaults to all ones.  Solved in dual form, min rhs.l over l >= 0
-    with sum_k l_k rows[k] = c: the constraint matrix is the transpose of
-    `rows`, the cost is `rhs`, and the simplex duals are a maximizer.
-    Returns (value, maximizer, multipliers l).
+    `rhs` defaults to all ones.  This is the first objective of a fresh
+    `Polyhedron`: one dual solve, min rhs.l over l >= 0 with
+    sum_k l_k rows[k] = c, on the rows scaled to integers, whose simplex
+    duals are a maximizer.  Returns (value, maximizer, multipliers l).
     """
-    if rhs is None:
-        rhs = [Fraction(1)] * len(rows)
-    res = _dual_lp(rows, c, rhs)
-    return res.objective, res.duals, res.x
+    return Polyhedron(rows, rhs).support(c)
 
 
 @dataclass
@@ -288,10 +302,16 @@ class Polyhedron:
         rows: Sequence[Sequence[Fraction]],
         rhs: Optional[Sequence[Fraction]] = None,
     ):
-        self.rows = [[Fraction(v) for v in row] for row in rows]
-        self.rhs = [Fraction(1)] * len(rows) if rhs is None else [Fraction(v) for v in rhs]
-        # row k and rhs[k] over integers, (R_k | h_k) = s_k (rows[k] | rhs[k])
-        self._scaled = [_scaled(row + [h]) for row, h in zip(self.rows, self.rhs)]
+        if rhs is None:
+            rhs = [1] * len(rows)
+        lengths = {len(row) for row in rows}
+        if len(rhs) != len(rows) or len(lengths) > 1:
+            raise ValueError(
+                f"shape mismatch: {len(rows)} rows of lengths {sorted(lengths)} "
+                f"and {len(rhs)} right-hand sides"
+            )
+        # the only copy of the rows, over integers: (R_k | h_k) = s_k (rows[k] | rhs[k])
+        self._scaled = [_scaled([*row, h]) for row, h in zip(rows, rhs)]
         self._bases: list[_OptimalBasis] = []
 
     def support(self, c: Sequence[Fraction]) -> tuple[Fraction, Optional[Row], Row]:
@@ -299,13 +319,17 @@ class Polyhedron:
         returns it.  The maximizer is the one `support_function` gives, or None
         when a cached basis answered and its vertex may not be the only
         maximizer; re-solve with `support_function` for that one."""
-        c = [Fraction(v) for v in c]
+        if self._scaled and len(c) + 1 != len(self._scaled[0][0]):
+            raise ValueError(
+                f"shape mismatch: rows of length {len(self._scaled[0][0]) - 1}, "
+                f"objective of length {len(c)}"
+            )
         c_int, den = _scaled(c)  # c = c_int / den
         for basis in self._bases:
             found = self._reuse(basis, c, c_int, den)
             if found is not None:
                 return found
-        res = _dual_lp(self.rows, c, self.rhs)
+        res = _dual_lp(self._scaled, c_int, den)
         self._bases.append(_OptimalBasis(res.basis, res.kept, res.duals))
         return res.objective, res.duals, res.x
 
@@ -334,7 +358,7 @@ class Polyhedron:
         v_int, v_den = basis.vertex_int
         if total * v_den != scale * sum(ci * vi for ci, vi in zip(c_int, v_int)):
             raise ArithmeticError(f"cached basis {basis.rows} fails rhs_B.l_B = c.v for c = {c}")
-        lam = [Fraction(0)] * len(self.rows)
+        lam = [Fraction(0)] * len(self._scaled)
         for k, s, (_, s_k) in zip(basis.rows, sums, scaled):
             lam[k] = Fraction(s_k * s, scale * den)
         # all coordinates kept and every l_k > 0: the rows of B are tight at

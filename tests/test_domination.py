@@ -41,14 +41,30 @@ S1 = Schreier(from_int(1))
 X1 = Combinatorial(S1)
 
 
+def oracle_functional_rows(space, vectors):
+    """The signed domination rows, independently of the engine: phi(v) for
+    every norming functional phi in `Fraction`s, the zero rows dropped, each
+    row negated where its first nonzero entry is negative, distinct, sorted."""
+    support = sorted({i for v in vectors for i in v.support})
+    rows = set()
+    for phi in norming_functionals(space, tuple(support)):
+        row = tuple(phi.dot(v) for v in vectors)
+        lead = next((c for c in row if c), 0)
+        if lead:
+            rows.add(row if lead > 0 else tuple(-c for c in row))
+    return sorted(rows)
+
+
 def brute_constant(xs: VectorSequence, ys: VectorSequence):
     """Independent oracle: enumerate the polytope vertices from all sign
     systems of the y-side functional rows and evaluate the x-norm there.  A
     direction v that every row kills (v in their nullspace N) makes the
     constant infinite unless the x side kills it too; then the x-norm is
-    constant along N, and the vertices are taken with v.a = 0 for v in N."""
+    constant along N, and the vertices are taken with v.a = 0 for v in N.
+    The polytope, the pinned equations and the norm are symmetric, so the
+    vertex -a has the value of a: the first row of each system keeps sign +."""
     t = len(xs)
-    rows = _functional_rows(ys.space, ys.items)
+    rows = oracle_functional_rows(ys.space, ys.items)
     pinned = ref_nullspace(rows, t)
     if any(norm(xs.space, combine(xs.items, v)) > 0 for v in pinned):
         return MAG_INF
@@ -57,6 +73,8 @@ def brute_constant(xs: VectorSequence, ys: VectorSequence):
     best = Mag.of(Fraction(0))
     for subset in itertools.combinations(range(len(rows)), size):
         for signs in itertools.product((1, -1), repeat=size):
+            if signs and signs[0] < 0:
+                continue
             a_mat = [[signs[i] * c for c in rows[subset[i]]] for i in range(size)] + pinned
             sol = ref_solve_square(a_mat, rhs)
             if sol is None:
@@ -261,9 +279,9 @@ def fresh_argmax(xs: VectorSequence, ys: VectorSequence):
         objectives = _unsigned_rows(xs.space, xs.items)
         results = [_support_function_nonneg(y_rows, c) for c in objectives]
     else:
-        rows = _functional_rows(ys.space, ys.items)
+        rows = oracle_functional_rows(ys.space, ys.items)
         signed = [s for w in rows for s in (w, tuple(-v for v in w))]
-        objectives = _functional_rows(xs.space, xs.items)
+        objectives = oracle_functional_rows(xs.space, xs.items)
         results = [support_function(signed, c)[:2] for c in objectives]
     best, witness = Fraction(0), None
     for value, maximizer in results:
@@ -342,6 +360,39 @@ def oracle_unsigned_rows(space, vectors):
         if any(row):
             rows.add(row)
     return [r for r in rows if not _dominated_row(r, rows)]
+
+
+@st.composite
+def row_inputs(draw):
+    """A space and t = 1..4 vectors on indices 1..6: signed coefficients with
+    mixed denominators, supports that may overlap, and zero vectors (all of
+    them at times, so that every row is zero)."""
+    space = parse_space(draw(st.sampled_from(
+        ["C0", "L1", "LP(1)", "X[S[1]]", "X[S[2]]", "TSIRELSON(1;1/2)"]
+    )))
+    coeff = st.builds(
+        Fraction, st.integers(-6, 6).filter(bool), st.sampled_from([1, 2, 3, 4, 6])
+    )
+    zero = draw(st.booleans())
+    vectors = tuple(
+        Vector.of(draw(st.dictionaries(st.integers(1, 6), coeff, max_size=0 if zero else 3)))
+        for _ in range(draw(st.integers(1, 4)))
+    )
+    return space, vectors
+
+
+class TestFunctionalRows:
+    @settings(max_examples=200, deadline=None)
+    @given(row_inputs())
+    def test_matches_fraction_oracle(self, case):
+        # entry by entry and in the same order: the order fixes the LP rows
+        # of the signed route and so every witness it reports
+        space, vectors = case
+        rows, den = _functional_rows(space, vectors)
+        assert den > 0
+        assert [tuple(Fraction(v, den) for v in row) for row in rows] == (
+            oracle_functional_rows(space, vectors)
+        )
 
 
 class TestUnsignedRows:

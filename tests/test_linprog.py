@@ -65,6 +65,18 @@ class TestSolveLp:
         assert res.x == [2, 0] and res.objective == 2
         assert res.duals == [1, 0]
 
+    def test_short_row_raises(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            solve_lp([[1, 2], [1]], [4, 1], [1, 1])
+
+    def test_extra_rhs_raises(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            solve_lp([[1, 2]], [4, 5], [1, 1])
+
+    def test_short_cost_raises(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            solve_lp([[1, 2]], [4], [1])
+
 
 # The Fraction simplex that the integer tableau of `solve_lp` replaced, kept
 # verbatim as the oracle of the differential test below: the two must make
@@ -338,6 +350,14 @@ class TestSupportFunction:
         with pytest.raises(ValueError, match=message):
             Polyhedron(rows, rhs).support([1, 0])
 
+    def test_short_rhs_raises(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            support_function([(1,), (-1,)], [1], [1])
+
+    def test_short_objective_raises(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            support_function([(1, 0), (0, 1)], [1])
+
     @given(
         st.integers(1, 3).flatmap(
             lambda d: st.tuples(
@@ -401,7 +421,58 @@ def degenerate_system(seed, signed):
     return rows, rhs, objectives
 
 
+def rescaled(rows, rhs, seed):
+    """The same polyhedron with each row and its rhs multiplied by a positive
+    factor, and one row repeated at 3/2 times its scale, so that the integer
+    rows come at mixed scales s_k."""
+    rng = random.Random(seed)
+    factors = [rng.choice([F(1), F(3, 2), F(2, 3), F(5), F(1, 4)]) for _ in rows]
+    rows = [tuple(f * v for v in row) for f, row in zip(factors, rows)]
+    rhs = [f * h for f, h in zip(factors, rhs)]
+    k = rng.randrange(len(rows))
+    return rows + [tuple(F(3, 2) * v for v in rows[k])], rhs + [F(3, 2) * rhs[k]]
+
+
 class TestPolyhedron:
+    @given(st.integers(0, 2**32), st.booleans(), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_misses_match_fraction_oracle(self, seed, signed, scale):
+        """Each miss is one integer dual solve; the test's `Fraction` simplex
+        on the rational transpose must make the same pivots, so value,
+        maximizer, multipliers, basis and kept rows agree."""
+        rows, rhs, objectives = degenerate_system(seed, signed)
+        if scale:
+            rows, rhs = rescaled(rows, rhs, seed)
+        polytope = Polyhedron(rows, rhs)
+        d = len(rows[0])
+        for c in objectives:
+            misses = len(polytope._bases)
+            value, a, lam = polytope.support(c)
+            if len(polytope._bases) == misses:
+                continue
+            oracle = oracle_solve_lp([[F(row[i]) for row in rows] for i in range(d)], c, rhs)
+            assert oracle.status == "optimal"
+            basis = polytope._bases[-1]
+            assert (value, a, lam) == (oracle.objective, oracle.duals, oracle.x)
+            assert (basis.rows, basis.kept) == (oracle.basis, oracle.kept)
+
+    def test_raises_on_ragged_rows(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            Polyhedron([(1, 0), (1,)])
+
+    def test_raises_on_short_rhs(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            Polyhedron([(1,), (-1,)], [1])
+
+    def test_raises_on_short_objective(self):
+        polytope = Polyhedron(interleave([(1, 0), (0, 1)]))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            polytope.support([1])
+        polytope.support([1, 1])
+        # a cached basis must not answer a misshapen objective either
+        with pytest.raises(ValueError, match="shape mismatch"):
+            polytope.support([1, 1, 1])
+
     @given(st.integers(0, 2**32), st.booleans())
     @settings(max_examples=80, deadline=None)
     def test_matches_fresh_solves(self, seed, signed):
