@@ -6,11 +6,12 @@ of the left norm over the polytope {a : |sum a_n y_n| <= 1}, computed exactly:
 for a polyhedral left space as the largest support value of the polytope over
 the left norming functionals, for an l_p left norm over pairwise disjoint
 vectors by vertex enumeration of the positive part of the polytope.  The
-polytope is passed in the one LP form `(rows, rhs)`, {a : rows[k].a <= rhs[k]}:
-each right functional row W / D, built in integers by `_functional_rows`,
-gives the rows W and -W with right-hand side D, and the left functional rows
-are the objectives, scaled back by their own denominator only in the value;
-the positive part is the rows with right-hand side 1 followed by
+polytope is passed in the one LP form `(rows, rhs)`, {a : rows[k].a <= rhs[k]}.
+Every functional row comes from `norms.functional_rows`, in integers over one
+denominator.  On the signed route each right row W / D gives the rows W and
+-W with right-hand side D, and the left rows are the objectives, scaled back
+by their own denominator only in the value; the positive part is the
+unsigned rows, as `Fraction`s, with right-hand side 1 followed by
 -e_i <= 0.  Each row system gets one `linprog.Polyhedron`, which answers all
 the left functionals from its cached optimal bases, so it runs one simplex
 per distinct optimal vertex; the witness is the maximizer a fresh
@@ -37,7 +38,6 @@ import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from operator import add, sub
 from typing import Optional
 
 from .families import (
@@ -60,8 +60,8 @@ from .linprog import Polyhedron, nullspace, solve_square, support_function
 from .norms import (
     Combinatorial,
     SpaceSpec,
-    absolute_functionals,
     format_space,
+    functional_rows,
     is_polyhedral,
     norm,
     Lp,
@@ -81,6 +81,8 @@ class SearchBudgetError(RuntimeError):
 
 
 EXACT_DIM_BOUND = 6
+# most vertex systems the exact l_p left route solves
+LP_VERTEX_BUDGET = 200_000
 
 
 @dataclass(frozen=True)
@@ -143,44 +145,12 @@ class DominationValue:
 def _functional_rows(
     space: SpaceSpec, vectors: tuple[Vector, ...]
 ) -> tuple[list[tuple[int, ...]], int]:
-    """The distinct nonzero rows (phi(v) for v in vectors) over the norming
-    functionals phi, each negated where needed so that its first nonzero
-    entry is positive, sorted; as integer rows W over one positive
-    denominator D, the row W standing for W / D.
-
-    D is the least common denominator of the vector coefficients times that
-    of the absolute functionals' coefficients (Tsirelson's theta-weights), so
-    every row is a signed sum of the integer columns of the support indices.
-    The row of the sign pattern -eps is minus that of eps, so only the patterns
-    whose first sign is + are formed.  A positive common scale keeps the
-    lexicographic order of the rows, so they come in the order of their
-    rational values."""
-    support = sorted({i for v in vectors for i in v.support})
-    vec_den = math.lcm(*(c.denominator for v in vectors for _, c in v.entries))
-    columns = {i: [0] * len(vectors) for i in support}
-    for n, v in enumerate(vectors):
-        for i, c in v.entries:
-            columns[i][n] = c.numerator * (vec_den // c.denominator)
-    functionals = absolute_functionals(space, tuple(support))
-    phi_den = math.lcm(*(c.denominator for phi in functionals for _, c in phi.entries))
-    rows: set[tuple[int, ...]] = set()
-    for phi in functionals:
-        parts = [
-            [c.numerator * (phi_den // c.denominator) * u for u in columns[i]]
-            for i, c in phi.entries
-        ]
-        if not parts:
-            continue
-        sums = [tuple(parts[0])]
-        for part in parts[1:]:
-            sums = [tuple(map(add, s, part)) for s in sums] + [
-                tuple(map(sub, s, part)) for s in sums
-            ]
-        for row in sums:
-            lead = next((u for u in row if u), 0)
-            if lead:
-                rows.add(row if lead > 0 else tuple(-u for u in row))
-    return sorted(rows), vec_den * phi_den
+    """The distinct nonzero signed rows of `functional_rows`, sorted: integer
+    rows W over one positive denominator D, each with its first nonzero entry
+    positive.  A positive common scale keeps the lexicographic order of the
+    rows, so they come in the order of their rational values."""
+    rows, den = functional_rows(space, vectors, True)
+    return sorted({row for row in rows if any(row)}), den
 
 
 def _nonneg_disjoint(seq: VectorSequence) -> bool:
@@ -195,18 +165,14 @@ def _nonneg_disjoint(seq: VectorSequence) -> bool:
 
 
 def _unsigned_rows(space: SpaceSpec, vectors: tuple[Vector, ...]) -> list[tuple[Fraction, ...]]:
-    """Rows (phi(v) for v in vectors) over the absolute functionals phi, pruned
-    of pointwise-dominated ones: on the positive orthant they carry the whole
-    norm of disjoint nonnegative vectors in a 1-unconditional space.  The set
-    of Fraction tuples iterates in hash order, not insertion order; numeric
+    """The nonzero unsigned rows of `functional_rows` as `Fraction` tuples,
+    pruned of pointwise-dominated ones: on the positive orthant they carry the
+    whole norm of disjoint nonnegative vectors in a 1-unconditional space.  The
+    set of Fraction tuples iterates in hash order, not insertion order; numeric
     hashes are not randomized, so the LP row order is the same on every run
     and under every PYTHONHASHSEED."""
-    support = sorted({i for v in vectors for i in v.support})
-    rows: set[tuple[Fraction, ...]] = set()
-    for phi in absolute_functionals(space, tuple(support)):
-        row = tuple(phi.dot(v) for v in vectors)
-        if any(row):
-            rows.add(row)
+    ints, den = functional_rows(space, vectors, False)
+    rows = {tuple(Fraction(u, den) for u in row) for row in ints if any(row)}
     return [r for r in rows if not _dominated_row(r, rows)]
 
 
@@ -295,11 +261,12 @@ def _largest(polytope: Polyhedron, objectives, solve_maximizer, den: int = 1) ->
     return DominationValue(Mag.of(best / den), tuple(best_wit))
 
 
-def _orthant_system(rows: list[tuple[Fraction, ...]], t: int) -> tuple[list, list[Fraction]]:
+def _orthant_system(rows: list[tuple[Fraction, ...]], t: int) -> tuple[list, list[int]]:
     """{a >= 0 : row.a <= 1 for all rows} as (rows, rhs): the given rows with
-    right-hand side 1, then -e_i <= 0 for each of the t coordinates."""
-    negated_basis = [tuple(Fraction(-(i == j)) for j in range(t)) for i in range(t)]
-    return list(rows) + negated_basis, [Fraction(1)] * len(rows) + [Fraction(0)] * t
+    right-hand side 1, then -e_i <= 0 for each of the t coordinates, the
+    latter as integer rows."""
+    negated_basis = [tuple(-(i == j) for j in range(t)) for i in range(t)]
+    return list(rows) + negated_basis, [1] * len(rows) + [0] * t
 
 
 def _support_function_nonneg(
@@ -344,13 +311,16 @@ def _lp_left_constant(
         constraints = [s for w in rows for s in (w, tuple(-c for c in w))]
         rhs = [Fraction(1)] * len(constraints)
         pinned = nullspace(rows, t)
-    if math.comb(len(constraints), t - len(pinned)) > 200_000:
+    size = t - len(pinned)
+    # the signed loop solves only the subsets holding at most one of w and -w
+    subsets = 2**size * math.comb(len(rows), size) if signed else math.comb(len(constraints), size)
+    if subsets > LP_VERTEX_BUDGET:
         raise DominationError(
             "vertex enumeration budget exceeded for the Lp left space"
         )
     best = Fraction(0)
     best_wit: Optional[tuple[Fraction, ...]] = None
-    for subset in itertools.combinations(range(len(constraints)), t - len(pinned)):
+    for subset in itertools.combinations(range(len(constraints)), size):
         if signed and len({k // 2 for k in subset}) < len(subset):
             continue  # holds both w and -w, so the system is singular
         a_mat = [list(constraints[k]) for k in subset] + pinned

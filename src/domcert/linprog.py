@@ -382,10 +382,11 @@ def max_min_over_simplex(columns: Sequence[Sequence[Fraction]]) -> Fraction:
     d = len(columns[0])
     if d == 0:
         return Fraction(0)
-    zero, one = Fraction(0), Fraction(1)
-    rows = [[Fraction(v) for v in col] + [-one] for col in columns]
-    rows += [[-one] * d + [zero], [one] * d + [zero]]
-    rows += [[-one if x == i else zero for x in range(d)] + [zero] for i in range(d)]
-    rhs = [zero] * k + [-one, one] + [zero] * d
-    value, _, _ = support_function(rows, [zero] * d + [-one], rhs)
+    # integer rows, as the integer tables of `transfer` give them, pass
+    # `_scaled` as they are
+    rows = [[*col, -1] for col in columns]
+    rows += [[-1] * d + [0], [1] * d + [0]]
+    rows += [[-(x == i) for x in range(d)] + [0] for i in range(d)]
+    rhs = [0] * k + [-1, 1] + [0] * d
+    value, _, _ = support_function(rows, [0] * d + [-1], rhs)
     return -value

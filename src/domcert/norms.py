@@ -22,6 +22,13 @@ Values are returned as `Mag`: rational when the norm is rational-valued,
 otherwise an exact representation of its integer p-th power.  Irrational
 roots only arise for PConvex, Baernstein and Lp with p >= 2; there p must be
 an integer so that p-th powers stay rational.
+
+A polyhedral space (X[fam], Tsirelson, C0, L1) is the max of |phi(x)| over
+finitely many norming functionals: `absolute_functionals` lists the distinct
+|phi|, `norming_functionals` every sign pattern of them.  `functional_rows`
+is the one place the table phi(v_n) of a finite block of vectors is formed,
+in integers over one denominator; the domination routes and the witness
+scores of `transfer` all read their rows from it.
 """
 
 from __future__ import annotations
@@ -31,6 +38,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
+from typing import Sequence
 
 from .families import (
     Explicit,
@@ -371,6 +380,44 @@ def norming_functionals(space: SpaceSpec, support: FinSet) -> list[Vector]:
     supported in `support`: every sign pattern of each absolute functional.
     The symmetric hull of Phi is the dual ball there."""
     return [s for phi in absolute_functionals(space, support) for s in _signed_variants(phi)]
+
+
+def functional_rows(
+    space: SpaceSpec, vectors: Sequence[Vector], signed: bool
+) -> tuple[list[tuple[int, ...]], int]:
+    """The table (phi(v) for v in vectors) over the functionals phi of a
+    polyhedral space on the vectors' support, as integer rows W over one
+    positive denominator D, the row W standing for W / D; no functional is
+    built as a signed `Vector`.
+
+    The rows come in `absolute_functionals` order.  Unsigned, there is one row
+    per absolute functional.  Signed, there is one row per sign pattern of each
+    absolute functional whose first sign is +, negated where needed so that its
+    first nonzero entry is positive: the pattern -eps gives minus the row of
+    eps, so these rows and their negations are the rows of every norming
+    functional.  D is the least common denominator of the vector coefficients
+    times that of the absolute functionals' coefficients (Tsirelson's
+    theta-weights), so every row is a signed sum of the integer columns of the
+    support indices."""
+    support = sorted({i for v in vectors for i in v.support})
+    vec_den = math.lcm(*(c.denominator for v in vectors for _, c in v.entries))
+    columns = {i: [0] * len(vectors) for i in support}
+    for n, v in enumerate(vectors):
+        for i, c in v.entries:
+            columns[i][n] = c.numerator * (vec_den // c.denominator)
+    functionals = absolute_functionals(space, tuple(support))
+    phi_den = math.lcm(*(c.denominator for phi in functionals for _, c in phi.entries))
+    rows: list[tuple[int, ...]] = []
+    for phi in functionals:
+        sums = [(0,) * len(vectors)]
+        for k, (i, c) in enumerate(phi.entries):
+            part = [c.numerator * (phi_den // c.denominator) * u for u in columns[i]]
+            plus = [tuple(map(add, s, part)) for s in sums]
+            sums = plus + [tuple(map(sub, s, part)) for s in sums] if signed and k else plus
+        if signed:
+            sums = [s if next((u for u in s if u), 0) >= 0 else tuple(-u for u in s) for s in sums]
+        rows.extend(sums)
+    return rows, vec_den * phi_den
 
 
 def parse_space(text: str, q: QSchedule = Q_DEFAULT) -> SpaceSpec:

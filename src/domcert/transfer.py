@@ -13,7 +13,9 @@ through a threshold on an eps-free score, its max-min value z (for l_2,
 z^2 = 1/m with m the squared minimum norm of the witness polyhedron at
 threshold 1), so `wn_select` reads every level phi^k off one hereditary
 sweep of one score table that records the level each member enters at.
-The max-min is `linprog.max_min_over_simplex`, posed like every domcert LP as a support
+The table is read from `norms.functional_rows`, the one builder of every
+phi(v) table, in integers over its denominator.  The max-min is
+`linprog.max_min_over_simplex`, posed like every domcert LP as a support
 function over a row list `(rows, rhs)`, {a : rows[k].a <= rhs[k]}.
 """
 
@@ -50,11 +52,10 @@ from .linprog import max_min_over_simplex, solve_square
 from .norms import (
     Combinatorial,
     Lp,
-    absolute_functionals,
     format_space,
+    functional_rows,
     is_polyhedral,
     norm,
-    norming_functionals,
 )
 from .ordinals import Ordinal, format_ordinal
 from .rationals import MAG_ONE, format_fraction
@@ -114,15 +115,11 @@ def shift_certificate(
     return _verified(out, rho, q)
 
 
-def _positions_in(sub: FinSet, sup: FinSet) -> list[int]:
-    """1-based positions of the entries of sub inside sup."""
-    pos = []
-    lookup = {v: i + 1 for i, v in enumerate(sup)}
-    for v in sub:
-        if v not in lookup:
-            raise TransferError(f"index {v} missing from the enclosing M")
-        pos.append(lookup[v])
-    return pos
+def _majorant(chain: Sequence[Certificate], m: int) -> int:
+    """The largest L over a nested chain of certificates at the position of m
+    in each M, m lying in every M: the index that majorizes every level's L
+    at m."""
+    return max(cert.L[cert.M.index(m)] for cert in chain)
 
 
 def limit_combine(
@@ -155,32 +152,20 @@ def limit_combine(
         _require_verified(a, rho, q)
     _require_verified(certs[-1], rho, q)
 
-    t = len(certs)
     m_out: list[int] = []
     l_out: list[int] = []
-    for n in range(1, t + 1):
-        cert_n = certs[n - 1]
+    for n, cert_n in enumerate(certs, start=1):
         if cert_n.depth < n:
             raise TransferError(f"certificate {n} has depth below {n}")
-        m_val = cert_n.M[n - 1]
-        best_l = 0
-        for k in range(1, n + 1):
-            s_nk = _positions_in((m_val,), certs[k - 1].M)[0]
-            best_l = max(best_l, certs[k - 1].L[s_nk - 1])
-        m_out.append(m_val)
-        l_out.append(best_l)
+        m_out.append(cert_n.M[n - 1])
+        l_out.append(_majorant(certs[:n], m_out[-1]))
     if any(a >= b for a, b in zip(l_out, l_out[1:])):
         raise TransferError("merged L failed to increase; deepen the inputs")
 
     # the proof step leans on r-right dominance along the touched spreads
-    for k in range(1, t + 1):
-        spread_m = []
-        spread_l = []
-        for n in range(k, t + 1):
-            s_nk = _positions_in((certs[n - 1].M[n - 1],), certs[k - 1].M)[0]
-            spread_m.append(certs[k - 1].L[s_nk - 1])
-            spread_l.append(l_out[n - 1])
-        pairs = sorted(set(zip(spread_m, spread_l)))
+    for k, cert_k in enumerate(certs, start=1):
+        spread_m = [cert_k.L[cert_k.M.index(m)] for m in m_out[k - 1 :]]
+        pairs = sorted(set(zip(spread_m, l_out[k - 1 :])))
         mm = tuple(p[0] for p in pairs)
         ll = tuple(p[1] for p in pairs)
         increasing = all(a < b for a, b in zip(mm, mm[1:])) and all(
@@ -230,12 +215,7 @@ def sum_combine(
     p = emb.mapping
     if max(p) > cert2.depth:
         raise TransferError("embedding image exceeds certificate depth")
-    s = _positions_in(cert2.M, cert1.M)
-    l3 = []
-    for n in range(1, cert2.depth + 1):
-        if s[n - 1] > cert1.depth:
-            raise TransferError("nesting position outside cert1 depth")
-        l3.append(max(cert2.L[n - 1], cert1.L[s[n - 1] - 1]))
+    l3 = [_majorant((cert1, cert2), m) for m in cert2.M]
     m_out = tuple(cert2.M[p[n] - 1] for n in range(depth))
     l_out = tuple(l3[p[n] - 1] for n in range(depth))
     if any(a >= b for a, b in zip(l_out, l_out[1:])):
@@ -271,19 +251,8 @@ def merge_subsequence_certificates(
             raise TransferError("certificate index sets must be nested")
     for cert in chain:
         _require_verified(cert, rho, q)
-    inner = chain[-1]
-    depth = inner.depth
-    k_out = inner.M
-    n_out = []
-    for n in range(1, depth + 1):
-        best = 0
-        for cert in chain:
-            s_n = _positions_in((inner.M[n - 1],), cert.M)[0]
-            if s_n > cert.depth:
-                raise TransferError("nesting position outside a certificate depth")
-            best = max(best, cert.L[s_n - 1])
-        n_out.append(best)
-    n_out = tuple(n_out)
+    k_out = chain[-1].M
+    n_out = tuple(_majorant(chain, m) for m in k_out)
     if any(a >= b for a, b in zip(n_out, n_out[1:])):
         raise TransferError("merged N failed to increase; deepen the inputs")
 
@@ -343,8 +312,8 @@ class _WitnessScores:
     of one `frak_f_epsilon` or `wn_select` call.  F is in frak_eps when some
     sign pattern sigma has z(F, sigma) = max over the dual ball of
     min_i sigma_i x*(x_i) >= eps, or z^2 = 1/m >= eps^2 in l_2.  The
-    functional-by-vector table (the Gram matrix for l_2) and the max-min LPs
-    are shared by every eps.
+    functional-by-vector table, the integer rows of `norms.functional_rows`
+    (the Gram matrix for l_2), and the max-min LPs are shared by every eps.
 
     One hereditary sweep serves a descending list of thresholds.  It grows
     the family at the loosest and gives each member its entry level, the
@@ -364,22 +333,20 @@ class _WitnessScores:
         # vectors |x*| witnesses whatever x* does: one sign pattern, over the
         # absolute functionals
         self.unconditional = not self.l2 and all(c >= 0 for v in vectors for _, c in v.entries)
+        # both scores are positively homogeneous of degree 1 in the table, so
+        # it is kept in integers over one denominator and the thresholds scaled
         if self.l2:
-            self.table = [[u.dot(v) for v in vectors] for u in vectors]
+            gram = [[u.dot(v) for v in vectors] for u in vectors]
+            self.scale = math.lcm(*(c.denominator for row in gram for c in row))
+            self.table = [[int(c * self.scale) for c in row] for row in gram]
         elif not is_polyhedral(xs.space):
             raise TransferError(f"{format_space(xs.space)} has no finite dual description")
         else:
-            support = tuple(sorted({i for v in vectors for i in v.support}))
-            phis = (
-                sorted(absolute_functionals(xs.space, support), key=lambda v: v.entries)
-                if self.unconditional
-                else norming_functionals(xs.space, support)
-            )
-            self.table = [[phi.dot(v) for v in vectors] for phi in phis]
-        # both scores are positively homogeneous of degree 1 in the table, so
-        # it is kept in integers over one denominator and the thresholds scaled
-        self.scale = math.lcm(*(c.denominator for row in self.table for c in row))
-        self.table = [[int(c * self.scale) for c in row] for row in self.table]
+            # the signed rows and their negations are the rows of every
+            # norming functional, repeats kept
+            self.table, self.scale = functional_rows(xs.space, vectors, not self.unconditional)
+            if not self.unconditional:
+                self.table += [tuple(-u for u in row) for row in self.table]
         self._maxmin: dict[tuple, Fraction] = {}
         self.thresholds = list(thresholds)
         self.entry = self._sweep(self.thresholds) if thresholds else {}

@@ -238,6 +238,19 @@ class TestExactConstant:
         assert res.witness == (-1, 1, 0)
         assert len(calls) <= 3640
 
+    def test_lp_left_budget_counts_the_subsets_it_solves(self, monkeypatch):
+        # 3 rows w give C(6, 2) = 15 pairs among w and -w, of which the loop
+        # solves the 4 * C(3, 2) = 12 holding at most one of each w and -w
+        xs = basis_sequence(Lp(2), 2)
+        ys = VectorSequence((Vector.of({1: 1, 2: 1}), Vector.of({2: 1, 3: 1})), C0())
+        monkeypatch.setattr(domination, "LP_VERTEX_BUDGET", 12)
+        res = domination_constant_exact(xs, ys)
+        assert res.value == Mag(Fraction(2), 2)
+        assert res.witness == (-1, 1)
+        monkeypatch.setattr(domination, "LP_VERTEX_BUDGET", 11)
+        with pytest.raises(DominationError, match="vertex enumeration budget exceeded"):
+            domination_constant_exact(xs, ys)
+
     def test_lp_left_rejects_overlapping_left_vectors(self):
         xs = VectorSequence((e(1), Vector.of({1: 1, 2: 1})), Lp(2))
         with pytest.raises(DominationError, match="disjoint x supports"):
@@ -393,6 +406,9 @@ class TestFunctionalRows:
         assert [tuple(Fraction(v, den) for v in row) for row in rows] == (
             oracle_functional_rows(space, vectors)
         )
+        # the orthant rows come from the same builder, unsigned; any vectors
+        # here, not only the nonnegative disjoint blocks the route takes
+        assert _unsigned_rows(space, vectors) == oracle_unsigned_rows(space, vectors)
 
 
 class TestUnsignedRows:

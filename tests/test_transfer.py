@@ -18,7 +18,7 @@ from domcert.domination import (
 )
 from domcert.families import Explicit, Schreier, enumerate_family
 from domcert.linprog import max_min_over_simplex
-from domcert.norms import C0, Combinatorial, L1, Lp, norming_functionals
+from domcert.norms import C0, Combinatorial, L1, Lp, norming_functionals, parse_space
 from domcert.ordinals import OMEGA, from_int
 from domcert.transfer import (
     ShadowFailure,
@@ -440,12 +440,26 @@ def _l2_triple() -> VectorSequence:
     return VectorSequence((x1, x2, Vector.of({1: Fraction(-1)})), Lp(2), "l2-triple")
 
 
+def _tsirelson_signed() -> VectorSequence:
+    # signed, overlapping vectors under functionals with theta-weights 1/2
+    # and 1/4: the signed score table over one common denominator; too slow
+    # to draw in SPACES
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    vectors = (
+        {1: 1, 2: -half, 3: half}, {2: 1, 3: 1, 4: -1}, {1: -half, 4: 1}, {3: third, 4: half}
+    )
+    return VectorSequence(
+        tuple(Vector.of(v) for v in vectors), parse_space("TSIRELSON(1;1/2)"), "tsirelson"
+    )
+
+
 class TestFrakDifferential:
     @settings(max_examples=80, deadline=None)
     @given(sequences(), st.lists(st.sampled_from(EPSILONS), min_size=1, max_size=3))
     @example(_l2_pair(Fraction(1)), [Fraction(1)])
     @example(_l2_pair(Fraction(1, 2)), [Fraction(1, 2)])
     @example(_l2_triple(), [Fraction(1, 2)])
+    @example(_tsirelson_signed(), [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)])
     def test_equals_per_eps_oracle(self, xs, epsilons):
         for eps in epsilons:
             assert frak_f_epsilon(xs, eps, len(xs)) == oracle_frak(xs, eps, len(xs))
@@ -614,8 +628,7 @@ class TestWnSelect:
         # it per level would enumerate the functionals and solve the max-min
         # LPs again at every phi^k
         calls = Counter()
-        enumerators = ("norming_functionals", "absolute_functionals")
-        for name in ("frak_f_epsilon", *enumerators, "max_min_over_simplex"):
+        for name in ("frak_f_epsilon", "functional_rows", "max_min_over_simplex"):
             original = getattr(transfer, name)
 
             def counted(*args, _name=name, _original=original):
@@ -630,9 +643,8 @@ class TestWnSelect:
         frak_f_epsilon(xs, Fraction(1, 8) ** 4, 8)
         # one frak_f_epsilon call per level, each reading the shared table
         assert selected["frak_f_epsilon"] == 4
-        # nonnegative vectors read the absolute functionals, others the
-        # signed ones: either way one enumeration per wn_select call
-        assert sum(selected.get(name, 0) for name in enumerators) == 1
+        # one functional table per wn_select call, unsigned or signed
+        assert selected["functional_rows"] == 1
         assert selected["max_min_over_simplex"] == calls["max_min_over_simplex"] > 0
 
     def test_shared_table_lasts_one_call(self):
