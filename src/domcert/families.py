@@ -19,6 +19,11 @@ tuple belongs to every family.  Constructors:
 
 Limit levels use the Wainer fundamental sequences except at omega itself,
 where the integer schedule q_n is configurable (default q_n = n).
+
+Membership validates F once per query.  S[xi+1], NFOLD and SUM cut F greedily
+into maximal blocks, exact as every level is hereditary (NFOLD rejects an
+explicit base with a member whose first or last point cannot be dropped);
+F[lam+k] drops the first k points of F.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .ordinals import (
     OMEGA,
@@ -91,9 +96,7 @@ class Family:
 
     def member(self, f: FinSet) -> bool:
         f = as_finset(f)
-        if not f:
-            return True
-        return self._member(f)
+        return not f or self._member(f)
 
     def _member(self, f: FinSet) -> bool:
         raise NotImplementedError
@@ -133,11 +136,11 @@ class SumFamily(Family):
     q: QSchedule = Q_DEFAULT
 
     def _member(self, f: FinSet) -> bool:
-        left = FineSchreier(self.xi, self.q)
-        right = FineSchreier(self.zeta, self.q)
-        return any(
-            left.member(f[:i]) and right.member(f[i:]) for i in range(len(f) + 1)
-        )
+        # G is the longest prefix in F[xi]: a shorter G leaves a larger F
+        i = 0
+        while i < len(f) and _fine_member(self.xi, self.q, f[: i + 1]):
+            i += 1
+        return _fine_member(self.zeta, self.q, f[i:])
 
 
 @dataclass(frozen=True)
@@ -148,9 +151,17 @@ class NFold(Family):
     def __post_init__(self) -> None:
         if self.n < 1:
             raise FamilyError("NFold needs n >= 1")
+        literal, pools = self.base, []
+        while isinstance(literal, Restrict):
+            literal, pools = literal.base, pools + [set(literal.stream_prefix)]
+        members = literal.members if isinstance(literal, Explicit) else ()  # only literals can fail
+        members = {f for f in members if all(p.issuperset(f) for p in pools)}
+        for f, g in ((f, g) for f in sorted(members, key=_size_lex) for g in (f[1:], f[:-1])):
+            if g and g not in members:  # greedy splits are exact when members keep end deletions
+                raise FamilyError(f"NFOLD base lacks an end deletion: {f} is a member, {g} is not")
 
     def _member(self, f: FinSet) -> bool:
-        return _blocks_cover(self.base.member, f, self.n)
+        return _greedy_blocks(self.base._member, f, self.n)
 
 
 @dataclass(frozen=True)
@@ -164,14 +175,9 @@ class Restrict(Family):
         as_finset(self.stream_prefix)
 
     def _member(self, f: FinSet) -> bool:
-        if f and f[-1] > self.stream_prefix[-1]:
-            raise FamilyError(
-                f"restriction stream prefix exhausted below {f[-1]}"
-            )
-        prefix = set(self.stream_prefix)
-        if any(x not in prefix for x in f):
-            return False
-        return self.base.member(f)
+        if f[-1] > self.stream_prefix[-1]:
+            raise FamilyError(f"restriction stream prefix exhausted below {f[-1]}")
+        return set(self.stream_prefix).issuperset(f) and self.base._member(f)
 
 
 @dataclass(frozen=True)
@@ -199,15 +205,12 @@ def _fine_member(xi: Ordinal, q: QSchedule, f: FinSet) -> bool:
     kind = xi.classify()
     if kind == "zero":
         return False
-    if kind == "successor":
-        return _fine_member(xi.pred(), q, f[1:])
+    if kind == "successor":  # xi = lam + k: F[lam + k] peels the first k points
+        k = xi.terms[-1][1]
+        return len(f) <= k or _fine_member(Ordinal(xi.terms[:-1]), q, f[k:])
     # limit: a witness n <= min F with F in the n-th approximating family.
     # The witness need not be min F, so all n are tried.
-    for n in range(1, f[0] + 1):
-        approx = from_int(q(n)) if xi == OMEGA else fundamental_sequence(xi, n)
-        if _fine_member(approx, q, f):
-            return True
-    return False
+    return any(_fine_member(level, q, f) for level in _approximations(xi, q, f[0]))
 
 
 @lru_cache(maxsize=None)
@@ -218,31 +221,28 @@ def _schreier_member(xi: Ordinal, q: QSchedule, f: FinSet) -> bool:
     if kind == "zero":
         return len(f) <= 1
     if kind == "successor":
-        return _blocks_cover(partial(_schreier_member, xi.pred(), q), f, f[0])
-    for n in range(1, f[0] + 1):
-        approx = from_int(q(n)) if xi == OMEGA else fundamental_sequence(xi, n)
-        if _schreier_member(approx, q, f):
-            return True
+        return _greedy_blocks(partial(_schreier_member, xi.pred(), q), f, f[0])
+    return any(_schreier_member(level, q, f) for level in _approximations(xi, q, f[0]))
+
+
+def _approximations(xi: Ordinal, q: QSchedule, m: int) -> Iterator[Ordinal]:
+    """Levels 1..m converging to the limit xi: q_n at omega, else Wainer's."""
+    at_omega = xi == OMEGA
+    return (from_int(q(n)) if at_omega else fundamental_sequence(xi, n) for n in range(1, m + 1))
+
+
+def _greedy_blocks(member: Callable[[FinSet], bool], f: FinSet, max_blocks: int) -> bool:
+    """Do at most max_blocks members cover the nonempty f?  Maximal blocks are
+    exact for a hereditary `member`: a longer first block only shrinks the rest."""
+    start = 0
+    for _ in range(max_blocks):
+        end = start
+        while end < len(f) and member(f[start : end + 1]):
+            end += 1
+        if end in (start, len(f)):  # a point that is no member, or f covered
+            return end == len(f)
+        start = end
     return False
-
-
-def _blocks_cover(member: Callable[[FinSet], bool], f: FinSet, max_blocks: int) -> bool:
-    """Can f be split into at most max_blocks consecutive nonempty members?"""
-
-    @lru_cache(maxsize=None)
-    def reachable(i: int, used: int) -> bool:
-        if i == len(f):
-            return True
-        if used == max_blocks:
-            return False
-        for j in range(i + 1, len(f) + 1):
-            if member(f[i:j]) and reachable(j, used + 1):
-                return True
-        return False
-
-    found = reachable(0, 0)
-    del reachable  # empties the closure's cell, which refers to reachable itself
-    return found
 
 
 DEFAULT_ENUM_BOUND = 20

@@ -367,6 +367,39 @@ class TestLpGolden:
         assert out == (GOLDEN / "dominate_exact_lp.out").read_text()
 
 
+class TestFamMemberGolden:
+    """stdout and exit code of `fam member` on the Schreier, fine Schreier,
+    SUM and NFOLD levels that the workloads reach, on sets with points up to
+    40: for each family a member, a set one point past it and one more set;
+    each block is `$ domcert <argv>`, stdout, `exit <code>`."""
+
+    RUNS = [
+        ("F[w^2]", "2,3,4,5,6,7"), ("F[w^2]", "2,3,4,5,6,7,8"),
+        ("F[w^2]", "2,4,16,17,23,30,34,40"),
+        ("F[w*2+1]", "2,3,4,5,6,7,8,9,10,11,12"),
+        ("F[w*2+1]", "3,4,5,6,7,8,9,10,11,12,13,14,15,16"),
+        ("F[w*2+1]", "7,8,11,16,24,25,31,36"),
+        ("S[2]", "2,3,4,5,6,7"), ("S[2]", "2,3,4,5,6,7,8"), ("S[2]", "1,5,11,12,14,18,25,27"),
+        ("S[w]", "2,3,4,5,6,7"), ("S[w]", "2,3,4,5,6,7,8"),
+        ("S[w]", ",".join(map(str, range(3, 41)))),
+        ("S[w+1]", "1,2"), ("S[w+1]", ",".join(map(str, range(2, 41)))),
+        ("S[w+1]", "11,12,13,14,19,21,35,40"),
+        ("SUM(1;2)", "2,3,4"), ("SUM(1;2)", "2,3,4,5"), ("SUM(1;2)", "2,10,11,13,20,24,25,27"),
+        ("NFOLD(S[1];3)", ",".join(map(str, range(2, 16)))),
+        ("NFOLD(S[1];3)", ",".join(map(str, range(2, 17)))),
+        ("NFOLD(S[1];3)", "1,5,17,20,22,37,38,39"),
+        ("NFOLD(S[2];2)", "1,2,3,4,5,6,7"), ("NFOLD(S[2];2)", "1,2,3,4,5,6,7,8"),
+        ("NFOLD(S[2];2)", ",".join(map(str, range(2, 41)))),
+    ]
+
+    def test_byte_identical(self, capsys):
+        out = ""
+        for fam, points in self.RUNS:
+            code = main(["fam", "member", fam, points])
+            out += f"$ domcert fam member {fam} {points}\n{capsys.readouterr().out}exit {code}\n"
+        assert out == (GOLDEN / "fam_member.out").read_text()
+
+
 class TestDominateCli:
     def test_exact(self, capsys):
         code, out = run(capsys, "dominate", "exact", "basis:L1:2", "basis:C0:2")

@@ -10,6 +10,7 @@ from domcert.families import (
     Explicit,
     FamilyError,
     FineSchreier,
+    NFold,
     QSchedule,
     Restrict,
     Schreier,
@@ -26,7 +27,7 @@ from domcert.families import (
     parse_family,
     rank_restricted,
 )
-from domcert.oracles import oracle_fine_member, oracle_schreier_member
+from domcert.oracles import _splits, oracle_fine_member, oracle_schreier_member
 from domcert.ordinals import OMEGA, from_int, parse_ordinal
 
 S1 = Schreier(from_int(1))
@@ -62,6 +63,88 @@ class TestMember:
     def test_matches_schreier_oracle(self, f):
         for xi in [from_int(0), from_int(1), from_int(2)]:
             assert Schreier(xi).member(f) == oracle_schreier_member(xi, f)
+
+    # the levels below w^w that the workloads reach, on sets with points up to 40
+    LEVELS = [parse_ordinal(t) for t in ("0", "3", "w", "w+1", "w+2", "w*2", "w*2+3", "w^2", "w^2+w+1")]
+    wide_finsets = st.lists(st.integers(1, 40), unique=True, max_size=6).map(
+        lambda xs: tuple(sorted(xs))
+    )
+
+    @given(wide_finsets)
+    @settings(max_examples=200)
+    def test_fine_levels_match_oracle(self, f):
+        for xi in self.LEVELS:
+            assert FineSchreier(xi).member(f) == oracle_fine_member(xi, f), xi
+
+    @given(wide_finsets)
+    @settings(max_examples=200)
+    def test_schreier_levels_match_oracle(self, f):
+        for xi in self.LEVELS:
+            assert Schreier(xi).member(f) == oracle_schreier_member(xi, f), xi
+
+    @staticmethod
+    def oracle_sum(zeta, xi, f):
+        """Brute: every cut of f into G in F[xi] below F in F[zeta]."""
+        return any(
+            oracle_fine_member(xi, f[:i]) and oracle_fine_member(zeta, f[i:])
+            for i in range(len(f) + 1)
+        )
+
+    @given(wide_finsets)
+    @settings(max_examples=100)
+    def test_sum_matches_cut_oracle(self, f):
+        for zeta, xi in [("1", "2"), ("w", "1"), ("1", "w"), ("w+1", "w*2"), ("w^2", "3")]:
+            zeta, xi = parse_ordinal(zeta), parse_ordinal(xi)
+            assert SumFamily(zeta, xi).member(f) == self.oracle_sum(zeta, xi, f), (zeta, xi)
+
+    NFOLD_BASES = {
+        "F[0]": lambda f: oracle_fine_member(from_int(0), f),
+        "F[1]": lambda f: oracle_fine_member(from_int(1), f),
+        "S[1]": lambda f: oracle_schreier_member(from_int(1), f),
+        "S[2]": lambda f: oracle_schreier_member(from_int(2), f),
+        "SUM(1;2)": lambda f: TestMember.oracle_sum(from_int(1), from_int(2), f),
+    }
+
+    @given(wide_finsets)
+    @settings(max_examples=100)
+    def test_nfold_matches_split_oracle(self, f):
+        # brute: every split into at most n consecutive nonempty pieces
+        for text, base in self.NFOLD_BASES.items():
+            for n in (1, 2, 3):
+                expected = not f or any(
+                    all(base(piece) for piece in pieces)
+                    for t in range(1, min(n, len(f)) + 1)
+                    for pieces in _splits(f, t)
+                )
+                assert NFold(parse_family(text), n).member(f) == expected, (text, n)
+
+    def test_nfold_rejects_a_base_without_end_deletions(self):
+        # (1, 2, 3) but none of its pairs: a greedy split would stop at (1,)
+        literal = Explicit(frozenset({(1, 2, 3), (1,), (2,), (3,)}))
+        for base in (literal, Restrict(literal, (1, 2, 3, 4))):
+            with pytest.raises(FamilyError, match=r"\(1, 2, 3\) is a member, \(2, 3\) is not"):
+                NFold(base, 1)
+        closed = Explicit(frozenset({(1, 3), (1,), (3,)}))  # the empty set is not needed
+        assert NFold(closed, 2).member((1, 3)) and not NFold(closed, 2).member((1, 2))
+
+    @pytest.mark.parametrize(
+        "base",
+        [
+            # not hereditary, as (1, 3) is missing, but closed under end deletions
+            Explicit(frozenset({(1, 2, 3), (1, 2), (2, 3), (1,), (2,), (3,)})),
+            # the members that break the rule lie outside the stream prefix
+            Restrict(Explicit(frozenset({(1, 2), (1,), (2,), (5, 6, 7)})), (1, 2, 3, 4)),
+        ],
+    )
+    def test_nfold_accepts_a_base_closed_under_end_deletions(self, base):
+        subsets = [f for r in range(5) for f in itertools.combinations(range(1, 5), r)]
+        for n, f in itertools.product((1, 2), subsets):
+            expected = not f or any(
+                all(base.member(piece) for piece in pieces)
+                for t in range(1, min(n, len(f)) + 1)
+                for pieces in _splits(f, t)
+            )
+            assert NFold(base, n).member(f) == expected, (n, f)
 
     def test_omega_schedule(self):
         fast = FineSchreier(OMEGA, QSchedule(slope=2))

@@ -473,7 +473,7 @@ class TestPrunedWalks:
             "order embedding": lambda: find_order_embedding(S1, Schreier(from_int(2)), 5),
         }
         for walk in walks.values():
-            walk()  # first fills of the membership caches go through _blocks_cover
+            walk()  # first fills of the membership caches run the greedy block splits
         gc.collect()
         gc.disable()
         try:
