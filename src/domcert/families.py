@@ -264,8 +264,11 @@ def members_within(
     per candidate finds exactly the members, () first and each member before
     its extensions; it runs on an explicit stack, which leaves no reference
     cycle behind.  Explicit literals are filtered in (size, lexicographic)
-    order.  More than `member_budget` membership tests raise BudgetError.
+    order.  `universe` is validated once, so the candidates, each a member
+    plus a larger point, go to `_member` unchecked.  More than
+    `member_budget` membership tests raise BudgetError.
     """
+    universe = as_finset(universe)
     if isinstance(fam, Explicit):
         pool = set(universe)
         return [f for f in sorted(fam.members, key=_size_lex) if all(x in pool for x in f)]
@@ -281,7 +284,7 @@ def members_within(
         tests += 1
         if tests > member_budget:
             raise BudgetError("member budget exhausted during enumeration")
-        if fam.member(cand):
+        if fam._member(cand):
             out.append(cand)
             stack.append((cand, k + 1))
     return out

@@ -137,7 +137,8 @@ def _member_walk(fam: Family, supp: FinSet, masses: list[int], tails: list[int],
     `root` = (F, mass, k) by points from position k on, j following G's last
     point, or `best` if none is larger.  A node (F, mass, k) stands for the
     candidates F + (supp[k'],), k' >= k; tails falls with k, so the module
-    docstring's bound cuts them all once it holds for the first."""
+    docstring's bound cuts them all once it holds for the first.  A support
+    is increasing, so the candidates go to `_member` unchecked."""
     stack = [root]
     while stack:
         prefix, mass, k = stack.pop()
@@ -145,7 +146,7 @@ def _member_walk(fam: Family, supp: FinSet, masses: list[int], tails: list[int],
             continue
         stack.append((prefix, mass, k + 1))
         cand = prefix + (supp[k],)
-        if fam.member(cand):
+        if fam._member(cand):
             best = max(best, (mass + masses[k]) ** p + after[k + 1])
             stack.append((cand, mass + masses[k], k + 1))
     return best

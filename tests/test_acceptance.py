@@ -8,21 +8,17 @@ negative controls below replace the rank function by wrong ones and check
 that the criterion then fails.
 """
 
-from pathlib import Path
-
 import pytest
 
 from domcert import acceptance as acc
+from golden_runner import GOLDEN, parse
 
 SEED = 0
 
 # `domcert acceptance all --seed 0`: one line per criterion, then the tally
-GOLDEN_LINES = {
-    line.split()[1]: line
-    for line in (Path(__file__).resolve().parent / "golden" / "acceptance_all_seed0.out")
-    .read_text()
-    .splitlines()[:-1]
-}
+ARGV = ["acceptance", "all", "--seed", str(SEED)]
+(ALL,) = [b for b in parse(GOLDEN / "acceptance_all_seed0.out") if b.argv == ARGV]
+GOLDEN_LINES = {line.split()[1]: line for line in ALL.stdout.splitlines()[:-1]}
 
 
 def _run(cid: str):

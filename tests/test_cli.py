@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import golden_runner
 from domcert.cli import main
 from domcert.vectors import Vector
 
@@ -211,193 +212,40 @@ class TestTransferCli:
         assert json.loads(out)["error"] == "shadow-failure"
 
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN_FILES = golden_runner.load()
+BLOCKS = [block for blocks in GOLDEN_FILES.values() for block in blocks]
 
 
-class TestTransferGolden:
-    """stdout and exit code of `transfer select` and `transfer frak`, recorded
-    from the implementation that solved every eps level afresh; the signed
-    `select` from the one that grew the family once per level."""
+class TestGolden:
+    """Every block of tests/golden/*.out, stdout and exit code, replayed
+    in-process by the runner behind CI's `golden_runner.py check` step."""
 
-    @pytest.mark.parametrize(
-        "name, argv, code",
-        [
-            (
-                "transfer_select_c0_8",
-                ["transfer", "select", "basis:C0:8", "--xi", "1", "--eps", "1/2",
-                 "--phi", "1/8", "--depth", "4"],
-                0,
-            ),
-            (
-                "transfer_select_lp2_9",
-                ["transfer", "select", "basis:LP(2):9", "--xi", "1", "--eps", "1/2",
-                 "--phi", "1/8", "--depth", "4"],
-                0,
-            ),
-            (
-                "transfer_select_l1_10",
-                ["transfer", "select", "basis:L1:10", "--xi", "1", "--eps", "1/2",
-                 "--phi", "1/8", "--depth", "6"],
-                2,
-            ),
-            (
-                "transfer_select_c0_signed",
-                ["transfer", "select", "c0_signed_blocks.json", "--xi", "1", "--eps", "1/2",
-                 "--phi", "1/8", "--depth", "3"],
-                0,
-            ),
-            (
-                "transfer_frak_c0_blocks",
-                ["transfer", "frak", "c0_signed_blocks.json", "--eps", "1/4", "--depth", "6"],
-                0,
-            ),
-        ],
-        ids=["select-c0", "select-lp2", "select-l1-shadow", "select-c0-signed", "frak-c0-blocks"],
-    )
-    def test_byte_identical(self, capsys, name, argv, code):
-        argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in argv]
-        assert main(argv) == code
-        assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
+    @pytest.mark.parametrize("block", BLOCKS, ids=[block.id for block in BLOCKS])
+    def test_replays(self, block):
+        assert golden_runner.replay(block) == (block.stdout, block.code)
 
+    def test_every_input_is_named_by_a_block(self):
+        assert golden_runner.orphans(golden_runner.GOLDEN, GOLDEN_FILES) == []
 
-class TestBridgeGolden:
-    """stdout of `spread bridge` at seeds 0 and 1, recorded when each
-    direction estimated rho's spreading table on its own."""
+    def test_check_fails_on_an_orphan_input(self, tmp_path):
+        (tmp_path / "ord.out").write_text("$ domcert ord add 1 1\n2\nexit 0\n")
+        assert golden_runner.check(tmp_path) == []
+        (tmp_path / "spare.json").write_text("{}")
+        assert golden_runner.check(tmp_path) == ["spare.json: named by no block"]
 
-    def test_byte_identical(self, capsys):
-        out = ""
-        for seed in ("0", "1"):
-            argv = ["spread", "bridge", "basis:X[S[1]]:24", "--depth", "5", "--seed", seed]
-            assert main(argv) == 0
-            out += capsys.readouterr().out
-        assert out == (GOLDEN / "spread_bridge.out").read_text()
+    def test_check_fails_on_a_malformed_block(self, tmp_path):
+        (tmp_path / "ord.out").write_text("$ domcert ord add 1 1\n2\n")
+        assert golden_runner.check(tmp_path) == [
+            "malformed: ord.out:1: expected '$ domcert <argv>', stdout, 'exit <code>'"
+        ]
 
-
-class TestWitnessGolden:
-    """stdout and exit code of `dominate exact` on the signed and the
-    orthant route, both with a witness field, and of one `transfer block`
-    certificate, recorded from the `Fraction` simplex that the integer
-    tableau replaced: the witness is the vertex the pivot path reaches."""
-
-    @pytest.mark.parametrize(
-        "name, argv",
-        [
-            (
-                "dominate_exact_signed",
-                ["dominate", "exact", "dominate_signed_xs.json", "dominate_signed_ys.json"],
-            ),
-            (
-                "dominate_exact_orthant",
-                ["dominate", "exact", "dominate_orthant_xs.json", "dominate_orthant_ys.json"],
-            ),
-            (
-                "transfer_block_s1",
-                ["transfer", "block", "transfer_block_s1_blocks.json", "--target", "S[1]"],
-            ),
-        ],
-        ids=["dominate-signed", "dominate-orthant", "transfer-block"],
-    )
-    def test_byte_identical(self, capsys, name, argv):
-        argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in argv]
-        assert main(argv) == 0
-        assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
-
-
-class TestTsirelsonGolden:
-    """stdout of `dominate exact` of two Tsirelson blocks against the c0
-    basis, recorded from the recursive closure of admissible-tree
-    functionals that the one admissible-system walk replaced."""
-
-    def test_byte_identical(self, capsys):
-        argv = ["dominate", "exact", str(GOLDEN / "dominate_tsirelson_xs.json"), "basis:C0:2"]
-        assert main(argv) == 0
-        assert capsys.readouterr().out == (GOLDEN / "dominate_exact_tsirelson.out").read_text()
-
-
-class TestSearchEmbedGolden:
-    """stdout and exit code of `fam embed`, `certify search` and `certify
-    bracket`, recorded from the two backtracking loops that one walk
-    replaced; each block is `$ domcert <argv>`, stdout, `exit <code>`."""
-
-    RUNS = [
-        ["fam", "embed", "F[w]", "S[1]", "8"],
-        ["fam", "embed", "F[2]", "S[0]", "4"],
-        ["fam", "embed", "ALL", "S[1]", "6"],
-        ["certify", "search", "basis:X[S[1]]:7", "--xi", "1", "--C", "1", "--depth", "5"],
-        ["certify", "search", "basis:L1:5", "--C", "1/100", "--depth", "4", "--node-budget", "7"],
-        ["certify", "search", "basis:X[S[2]]:6", "--xi", "2", "--C", "1/2", "--depth", "4"],
-        ["certify", "bracket", "basis:L1:4", "--g-space", "C0", "--depth", "4"],
-        ["certify", "bracket", "basis:X[S[1]]:6", "--xi", "1", "--depth", "4"],
-    ]
-
-    def test_byte_identical(self, capsys):
-        out = ""
-        for argv in self.RUNS:
-            code = main(argv)
-            out += f"$ domcert {' '.join(argv)}\n{capsys.readouterr().out}exit {code}\n"
-        assert out == (GOLDEN / "search_embed.out").read_text()
-
-
-class TestLpGolden:
-    """stdout and exit code of `dominate exact` on the l_p left routes, whose
-    witnesses come straight from `solve_square` and `nullspace`, recorded from
-    the `Fraction` elimination that the integer one replaced; each block is
-    `$ domcert <argv>` with the files named as in tests/golden, stdout,
-    `exit <code>`."""
-
-    RUNS = [
-        # disjoint right vectors: the positive orthant
-        ["dominate_lp_orthant_xs.json", "dominate_lp_orthant_ys.json"],
-        # sqrt(5) at the vertex (-2, 1) outside the orthant
-        ["basis:LP(2):2", "dominate_lp_sqrt5_ys.json"],
-        # y_2 = y_3: the direction (0, 1, -1) pinned at 0, value 2
-        ["dominate_lp_pinned_xs.json", "dominate_lp_pinned_ys.json"],
-        # three overlapping X[S[1]] vectors, 15 functional rows
-        ["basis:LP(2):3", "dominate_lp_rows15_ys.json"],
-        # y_1 = y_2: infinite, the witness a nullspace vector
-        ["basis:LP(2):2", "dominate_lp_infinite_ys.json"],
-    ]
-
-    def test_byte_identical(self, capsys):
-        out = ""
-        for args in self.RUNS:
-            code = main(["dominate", "exact", *(str(GOLDEN / a) if a.endswith(".json") else a
-                                                for a in args)])
-            out += f"$ domcert dominate exact {' '.join(args)}\n{capsys.readouterr().out}exit {code}\n"
-        assert out == (GOLDEN / "dominate_exact_lp.out").read_text()
-
-
-class TestFamMemberGolden:
-    """stdout and exit code of `fam member` on the Schreier, fine Schreier,
-    SUM and NFOLD levels that the workloads reach, on sets with points up to
-    40: for each family a member, a set one point past it and one more set;
-    each block is `$ domcert <argv>`, stdout, `exit <code>`."""
-
-    RUNS = [
-        ("F[w^2]", "2,3,4,5,6,7"), ("F[w^2]", "2,3,4,5,6,7,8"),
-        ("F[w^2]", "2,4,16,17,23,30,34,40"),
-        ("F[w*2+1]", "2,3,4,5,6,7,8,9,10,11,12"),
-        ("F[w*2+1]", "3,4,5,6,7,8,9,10,11,12,13,14,15,16"),
-        ("F[w*2+1]", "7,8,11,16,24,25,31,36"),
-        ("S[2]", "2,3,4,5,6,7"), ("S[2]", "2,3,4,5,6,7,8"), ("S[2]", "1,5,11,12,14,18,25,27"),
-        ("S[w]", "2,3,4,5,6,7"), ("S[w]", "2,3,4,5,6,7,8"),
-        ("S[w]", ",".join(map(str, range(3, 41)))),
-        ("S[w+1]", "1,2"), ("S[w+1]", ",".join(map(str, range(2, 41)))),
-        ("S[w+1]", "11,12,13,14,19,21,35,40"),
-        ("SUM(1;2)", "2,3,4"), ("SUM(1;2)", "2,3,4,5"), ("SUM(1;2)", "2,10,11,13,20,24,25,27"),
-        ("NFOLD(S[1];3)", ",".join(map(str, range(2, 16)))),
-        ("NFOLD(S[1];3)", ",".join(map(str, range(2, 17)))),
-        ("NFOLD(S[1];3)", "1,5,17,20,22,37,38,39"),
-        ("NFOLD(S[2];2)", "1,2,3,4,5,6,7"), ("NFOLD(S[2];2)", "1,2,3,4,5,6,7,8"),
-        ("NFOLD(S[2];2)", ",".join(map(str, range(2, 41)))),
-    ]
-
-    def test_byte_identical(self, capsys):
-        out = ""
-        for fam, points in self.RUNS:
-            code = main(["fam", "member", fam, points])
-            out += f"$ domcert fam member {fam} {points}\n{capsys.readouterr().out}exit {code}\n"
-        assert out == (GOLDEN / "fam_member.out").read_text()
+    def test_record_rewrites_a_stale_block(self, tmp_path):
+        stale = tmp_path / "ord.out"
+        stale.write_text("$ domcert ord add 1 1\n3\nexit 1\n")
+        assert len(golden_runner.check(tmp_path)) == 1
+        assert golden_runner.record(tmp_path) == {"ord.out": 4}
+        assert stale.read_text() == "$ domcert ord add 1 1\n2\nexit 0\n"
+        assert golden_runner.check(tmp_path) == []
 
 
 class TestDominateCli:

@@ -282,6 +282,59 @@ class TestExactConstant:
             assert cxz <= cxy * cyz
 
 
+def _signed_vector(rng: random.Random, support) -> Vector:
+    return Vector.of({i: rng.choice((-1, 1)) * rng.randint(1, 3) for i in support})
+
+
+class TestMetamorphic:
+    """Relations the least constant K(x, y) obeys, with no oracle: a joint
+    permutation of the pairs or a joint sign flip of one pair leaves K
+    unchanged, and K(λx, y) = |λ|·K(x, y).  Values only: a tie may move the
+    witness."""
+
+    def test_permutation_sign_flip_and_scaling(self, monkeypatch):
+        # Three signed y vectors on 1..6 can give the l_p route 85 000 vertex
+        # systems to solve.  Draws over 1 000 are skipped and counted; the
+        # relations keep the rows, so the budget stops a draw's first solve or
+        # none of its solves.
+        monkeypatch.setattr(domination, "LP_VERTEX_BUDGET", 1_000)
+        rng = random.Random(12)
+        trials, skipped = 40, 0
+        for trial in range(trials):
+            t = rng.randint(1, 3)
+            sx = rng.choice((C0(), L1(), X1, Lp(2)))
+            sy = rng.choice((C0(), L1(), X1))
+            free = rng.sample(range(1, 7), 6)
+            xs, ys = [], []
+            for _ in range(t):
+                if isinstance(sx, Lp):  # the l_p route needs disjoint x supports
+                    support = [free.pop() for _ in range(rng.randint(1, 2))]
+                else:
+                    support = rng.sample(range(1, 7), rng.randint(1, 3))
+                xs.append(_signed_vector(rng, sorted(support)))
+                ys.append(_signed_vector(rng, sorted(rng.sample(range(1, 7), rng.randint(1, 3)))))
+
+            def value(xv, yv):
+                pair = VectorSequence(tuple(xv), sx), VectorSequence(tuple(yv), sy)
+                return domination_constant_exact(*pair).value
+
+            try:
+                k = value(xs, ys)
+            except DominationError as exc:
+                assert "vertex enumeration budget" in str(exc)
+                skipped += 1
+                continue
+            perm = rng.sample(range(t), t)
+            assert value([xs[i] for i in perm], [ys[i] for i in perm]) == k, (trial, perm)
+            j = rng.randrange(t)
+            flipped = [[v.scale(-1) if i == j else v for i, v in enumerate(s)] for s in (xs, ys)]
+            assert value(*flipped) == k, (trial, j)
+            lam = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+            scaled = value([v.scale(lam) for v in xs], ys)
+            assert scaled == (k * abs(lam) if k.is_finite else k), (trial, lam)
+        assert skipped <= trials // 10
+
+
 def fresh_argmax(xs: VectorSequence, ys: VectorSequence):
     """Plain oracle for polyhedral, injective pairs: one fresh solve per left
     functional, with the value and maximizer of the first largest one, on the

@@ -218,6 +218,12 @@ class TestWalk:
             with pytest.raises(BudgetError):
                 members_within(fam, universe, tests - 1)
 
+    @pytest.mark.parametrize("fam", [S1, parse_family("RESTRICT(S[1];2,3,5,7)"), Explicit()])
+    def test_universe_that_is_not_a_set_raises_before_the_walk(self, fam):
+        # only the S[1] walk ever tests a candidate holding the pair (4, 1)
+        with pytest.raises(FamilyError, match="strictly increasing"):
+            members_within(fam, (4, 1))
+
     @given(literals, universes)
     @settings(max_examples=60, deadline=None)
     def test_explicit_filtered_in_size_lex_order(self, members, universe):
