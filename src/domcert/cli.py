@@ -1,8 +1,11 @@
-"""Command-line entry point.
+"""Command-line entry point: `domcert <command> <action> ...`.
 
 Thin adapters over the library: every numerical decision lives in the core
-modules.  Exit codes: 0 success, 1 usage or parse error, 2 property violation
-found, 3 search or budget exhausted.
+modules.  Each action has its own parser, which declares exactly the
+positionals and flags its branch of the command's handler reads, so an
+argument the action does not read is a usage error.  Exit codes: 0 success,
+1 usage or parse error, 2 property violation found, 3 search or budget
+exhausted.
 """
 
 from __future__ import annotations
@@ -76,12 +79,6 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _require(value, what: str):
-    if value is None:
-        raise CliError(f"missing {what}")
-    return value
-
-
 def _parse_q(text: str | None) -> QSchedule:
     """Schedule grammar: 'n' (default), 'an+b', or 'v1,v2,...;an+b'."""
     if not text or text == "n":
@@ -139,7 +136,7 @@ def _emit(payload, args) -> None:
     else:
         text = json.dumps(payload, indent=2, sort_keys=True)
     print(text)
-    if getattr(args, "out", None):
+    if args.out:
         Path(args.out).write_text(text + "\n")
 
 
@@ -157,9 +154,11 @@ def _mag_json(value) -> dict:
     }
 
 
+def _xi_arg(text: str):
+    return None if text == "ALL" else parse_ordinal(text)
+
+
 def cmd_ord(args) -> int:
-    if args.action in ("add", "cmp", "fs"):
-        _require(args.b, f"second argument of ord {args.action}")
     if args.action == "parse":
         _emit(str(parse_ordinal(args.a)), args)
     elif args.action == "add":
@@ -177,26 +176,19 @@ def cmd_ord(args) -> int:
 
 def cmd_fam(args) -> int:
     q = _parse_q(args.q)
-    # enum/rank/regular take (family, n); the others take three positionals
-    if args.action in ("enum", "rank", "regular") and args.n is None:
-        args.n = args.set
-    if args.action != "member" and args.n is None:
-        raise CliError("missing universe bound N")
+    if args.action == "am-witness":
+        zeta, xi = parse_ordinal(args.zeta), _xi_arg(args.xi)
+        witness = almost_monotone_witness(zeta, xi, int(args.n), q)
+        _emit("none" if witness is None else str(witness), args)
+        return OK
+    fam = parse_family(args.family, q)
     if args.action == "member":
-        fam = parse_family(args.family, q)
-        _emit("true" if fam.member(_finset(_require(args.set, "set"))) else "false", args)
-        return OK
-    if args.action == "enum":
-        fam = parse_family(args.family, q)
-        members = enumerate_family(fam, int(args.n))
-        _emit([list(f) for f in members], args)
-        return OK
-    if args.action == "rank":
-        fam = parse_family(args.family, q)
+        _emit("true" if fam.member(_finset(args.set)) else "false", args)
+    elif args.action == "enum":
+        _emit([list(f) for f in enumerate_family(fam, int(args.n))], args)
+    elif args.action == "rank":
         _emit(str(rank_restricted(fam, int(args.n))), args)
-        return OK
-    if args.action == "regular":
-        fam = parse_family(args.family, q)
+    elif args.action == "regular":
         report = check_regular(fam, int(args.n))
         _emit(
             {
@@ -209,22 +201,13 @@ def cmd_fam(args) -> int:
             args,
         )
         return OK if report.ok else VIOLATION
-    if args.action == "am-witness":
-        zeta = parse_ordinal(args.family)
-        xi = None if args.set == "ALL" else parse_ordinal(args.set)
-        witness = almost_monotone_witness(zeta, xi, int(args.n), q)
-        _emit("none" if witness is None else str(witness), args)
-        return OK
-    if args.action == "embed":
-        src = parse_family(args.family, q)
-        dst = parse_family(args.set, q)
-        res = find_order_embedding(src, dst, int(args.n))
-        if res.found:
-            _emit({"mapping": list(res.mapping), "nodes": res.nodes}, args)
-            return OK
-        _emit({"mapping": None, "nodes": res.nodes, "exhausted": True}, args)
-        return EXHAUSTED
-    raise CliError(f"unknown fam action {args.action!r}")
+    else:  # embed
+        res = find_order_embedding(fam, parse_family(args.target, q), int(args.n))
+        if not res.found:
+            _emit({"mapping": None, "nodes": res.nodes, "exhausted": True}, args)
+            return EXHAUSTED
+        _emit({"mapping": list(res.mapping), "nodes": res.nodes}, args)
+    return OK
 
 
 def cmd_norm(args) -> int:
@@ -262,17 +245,8 @@ def cmd_dominate(args) -> int:
     return OK
 
 
-def _xi_arg(text: str):
-    return None if text == "ALL" else parse_ordinal(text)
-
-
 def cmd_certify(args) -> int:
     q = _parse_q(args.q)
-    # `verify` takes (cert, rho); `search`/`bracket` take (rho,)
-    if args.action != "verify":
-        if args.rho is None:
-            args.rho = args.cert
-    _require(args.rho, "rho sequence")
     if args.action == "verify":
         cert = _load_certificate(args.cert, q)
         rho = _load_sequence(args.rho, q)
@@ -311,51 +285,42 @@ def cmd_certify(args) -> int:
             return OK
         _emit({"status": out.status, "nodes": out.nodes}, args)
         return EXHAUSTED
-    if args.action == "bracket":
-        rho = _load_sequence(args.rho, q)
-        bracket = gamma_bracket(
-            rho,
-            _xi_arg(args.xi),
-            int(args.depth),
-            resolution=parse_fraction(args.resolution),
-            q=q,
-            l_max=int(args.l_max) if args.l_max else None,
-            node_budget=int(args.node_budget),
-            time_budget=float(args.time_budget),
-            g_space=parse_space(args.g_space, q) if args.g_space else None,
-        )
-        payload = {
-            "xi": args.xi,
-            "depth": bracket.depth,
-            "lower": format_fraction(bracket.lower),
-            "upper": str(bracket.upper),
-            "budget": {k: v for k, v in bracket.budget_report.items()},
-        }
-        if bracket.certificate is not None:
-            payload["certificate"] = bracket.certificate.to_json()
-        _emit(payload, args)
-        return OK if "exhausted" not in bracket.budget_report else EXHAUSTED
-    raise CliError(f"unknown certify action {args.action!r}")
+    rho = _load_sequence(args.rho, q)  # bracket
+    bracket = gamma_bracket(
+        rho,
+        _xi_arg(args.xi),
+        int(args.depth),
+        resolution=parse_fraction(args.resolution),
+        q=q,
+        l_max=int(args.l_max) if args.l_max else None,
+        node_budget=int(args.node_budget),
+        time_budget=float(args.time_budget),
+        g_space=parse_space(args.g_space, q) if args.g_space else None,
+    )
+    payload = {
+        "xi": args.xi,
+        "depth": bracket.depth,
+        "lower": format_fraction(bracket.lower),
+        "upper": str(bracket.upper),
+        "budget": {k: v for k, v in bracket.budget_report.items()},
+    }
+    if bracket.certificate is not None:
+        payload["certificate"] = bracket.certificate.to_json()
+    _emit(payload, args)
+    return OK if "exhausted" not in bracket.budget_report else EXHAUSTED
 
 
 def cmd_transfer(args) -> int:
     q = _parse_q(args.q)
-    needed = 2 if args.action == "sum" else 1
-    if len(args.inputs) < needed:
-        raise CliError(f"transfer {args.action} needs {needed} input file(s)")
-    if args.action in ("shift", "sum", "limit", "merge"):
-        _require(args.rho, "--rho")
-    if args.action in ("shift", "block"):
-        _require(args.target, "--target")
-    rho = _load_sequence(args.rho, q) if args.rho else None
+    # shift, sum, limit and merge declare --rho; it loads before their certificates
+    rho = _load_sequence(args.rho, q) if "rho" in args else None
     try:
         if args.action == "shift":
             cert = _load_certificate(args.inputs[0], q)
             out = shift_certificate(cert, rho, parse_ordinal(args.target), int(args.shift), q)
             _emit(out.to_json(), args)
         elif args.action == "sum":
-            c1 = _load_certificate(args.inputs[0], q)
-            c2 = _load_certificate(args.inputs[1], q)
+            c1, c2 = (_load_certificate(p, q) for p in args.inputs)
             out = sum_combine(c1, c2, rho, parse_fraction(args.r), q)
             _emit(out.to_json(), args)
         elif args.action == "limit":
@@ -389,7 +354,7 @@ def cmd_transfer(args) -> int:
             _emit(
                 [list(f) for f in sorted(fam.members, key=lambda t: (len(t), t))], args
             )
-        elif args.action == "select":
+        else:  # select
             xs = _load_sequence(args.inputs[0], q)
             trace, cert = wn_select(
                 xs,
@@ -400,8 +365,6 @@ def cmd_transfer(args) -> int:
                 q,
             )
             _emit({"trace": trace.to_json(), "certificate": cert.to_json()}, args)
-        else:
-            raise CliError(f"unknown transfer action {args.action!r}")
     except ShadowFailure as exc:
         _emit(
             {
@@ -441,7 +404,7 @@ def cmd_spread(args) -> int:
         )
         return OK
     if args.action == "exact":
-        xi = parse_ordinal(args.space)
+        xi = parse_ordinal(args.xi)
         coeffs = [parse_fraction(v) for v in args.coeffs.split(",")]
         res = exact_spreading_combinatorial(
             xi, SubseqSpec.parse(args.subseq), len(coeffs), coeffs, q
@@ -456,7 +419,7 @@ def cmd_spread(args) -> int:
         )
         return OK
     if args.action == "equiv":
-        xi = parse_ordinal(args.space)
+        xi = parse_ordinal(args.xi)
         m = int(args.m)
         probes = default_probes(m, int(args.seed), extra=8)
         t1 = exact_table(xi, SubseqSpec.parse(args.subseq), m, probes, q)
@@ -471,29 +434,27 @@ def cmd_spread(args) -> int:
             args,
         )
         return OK
-    if args.action == "bridge":
-        rho = _load_sequence(args.space, q)
-        report = check_main2_bridge(
-            rho,
-            parse_ordinal(args.g_xi),
-            parse_fraction(args.C),
-            int(args.depth),
-            q,
-            seed=int(args.seed),
-        )
-        _emit(
-            {
-                "ok": report.ok,
-                "inconclusive": report.inconclusive,
-                "direction_a": report.direction_a,
-                "direction_b": report.direction_b,
-            },
-            args,
-        )
-        if report.inconclusive:
-            return EXHAUSTED
-        return OK if report.ok else VIOLATION
-    raise CliError(f"unknown spread action {args.action!r}")
+    rho = _load_sequence(args.rho, q)  # bridge
+    report = check_main2_bridge(
+        rho,
+        parse_ordinal(args.g_xi),
+        parse_fraction(args.C),
+        int(args.depth),
+        q,
+        seed=int(args.seed),
+    )
+    _emit(
+        {
+            "ok": report.ok,
+            "inconclusive": report.inconclusive,
+            "direction_a": report.direction_a,
+            "direction_b": report.direction_b,
+        },
+        args,
+    )
+    if report.inconclusive:
+        return EXHAUSTED
+    return OK if report.ok else VIOLATION
 
 
 def cmd_acceptance(args) -> int:
@@ -506,104 +467,87 @@ def cmd_acceptance(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One parser per action, under its command; each declares exactly the
+    positionals and flags its branch of the command's handler reads."""
     parser = _Parser(
         prog="domcert",
         description="Schreier-type families, combinatorial norms, and "
         "domination certificates with exact arithmetic",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(dest="command", required=True)
+    required = object()
 
-    def common(p, q=False, seed=False, budgets=False):
+    def command(name, func, help):
+        p = commands.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        return p.add_subparsers(dest="action", required=True)
+
+    def action(actions, name, *positionals, q=True, **flags):
+        """The action's parser: its positionals, a --<dest> flag per keyword
+        (the value is its default, or `required`), --out, and --q if q."""
+        p = actions.add_parser(name)
+        for positional in positionals:
+            p.add_argument(positional)
+        for dest, default in flags.items():
+            flag = "--" + dest.replace("_", "-")
+            if default is required:
+                p.add_argument(flag, required=True)
+            else:
+                p.add_argument(flag, default=default)
         p.add_argument("--out", help="also write the output to this file")
         if q:
             p.add_argument("--q", default="n", help="omega-level schedule, e.g. 'n' or '2n+1'")
-        if seed:
-            p.add_argument("--seed", default="0")
-        if budgets:
-            p.add_argument("--node-budget", default="1000000")
-            p.add_argument("--time-budget", default="60")
+        return p
 
-    p = sub.add_parser("ord", help="ordinal arithmetic")
-    p.add_argument("action", choices=["parse", "add", "cmp", "classify", "fs"])
-    p.add_argument("a")
-    p.add_argument("b", nargs="?")
-    common(p)
-    p.set_defaults(func=cmd_ord)
+    ords = command("ord", cmd_ord, "ordinal arithmetic")
+    for name in ("parse", "add", "cmp", "classify", "fs"):
+        operands = ("a",) if name in ("parse", "classify") else ("a", "b")
+        action(ords, name, *operands, q=False)
 
-    p = sub.add_parser("fam", help="family operations")
-    p.add_argument(
-        "action", choices=["member", "enum", "rank", "regular", "am-witness", "embed"]
+    fam = command("fam", cmd_fam, "family operations")
+    action(fam, "member", "family", "set")
+    for name in ("enum", "rank", "regular"):
+        action(fam, name, "family", "n")
+    action(fam, "am-witness", "zeta", "xi", "n")
+    action(fam, "embed", "family", "target", "n")
+
+    action(command("norm", cmd_norm, "norm evaluation"), "eval", "space", "vector", precision="12")
+
+    dominate = command("dominate", cmd_dominate, "domination constants")
+    action(dominate, "exact", "xs", "ys")
+    action(dominate, "lb", "xs", "ys", trials="100", seed="0")
+
+    certify = command("certify", cmd_certify, "certificate search, verify, brackets")
+    search = dict(
+        xi="ALL", depth="4", l_max=None, g_space=None, node_budget="1000000", time_budget="60"
     )
-    p.add_argument("family", help="family grammar, or zeta for am-witness")
-    p.add_argument("set", nargs="?", help="finite set, xi, or target family")
-    p.add_argument("n", nargs="?", help="universe bound")
-    common(p, q=True)
-    p.set_defaults(func=cmd_fam)
+    action(certify, "search", "rho", C="1", constraint=None, **search)
+    action(certify, "verify", "cert", "rho")
+    action(certify, "bracket", "rho", resolution="1/16", **search)
 
-    p = sub.add_parser("norm", help="norm evaluation")
-    p.add_argument("action", choices=["eval"])
-    p.add_argument("space")
-    p.add_argument("vector", help="vector JSON file")
-    p.add_argument("--precision", default="12")
-    common(p, q=True)
-    p.set_defaults(func=cmd_norm)
+    transfer = command("transfer", cmd_transfer, "certificate transformers")
+    for name, nargs, metavar, flags in [
+        ("shift", 1, "cert", dict(rho=required, target=required, shift="0")),
+        ("sum", 2, "cert", dict(rho=required, r="1")),
+        ("limit", "+", "cert", dict(rho=required, xi="w", r="1")),
+        ("merge", "+", "cert", dict(rho=required, r="1")),
+        ("block", 1, "blocks", dict(target=required)),
+        ("frak", 1, "xs", dict(eps="1/2", depth="4")),
+        ("select", 1, "xs", dict(xi="w", eps="1/2", phi="1/8", depth="4")),
+    ]:
+        action(transfer, name, **flags).add_argument("inputs", nargs=nargs, metavar=metavar)
 
-    p = sub.add_parser("dominate", help="domination constants")
-    p.add_argument("action", choices=["exact", "lb"])
-    p.add_argument("xs", help="sequence file or basis:<space>:<len>")
-    p.add_argument("ys")
-    p.add_argument("--trials", default="100")
-    common(p, q=True, seed=True)
-    p.set_defaults(func=cmd_dominate)
+    spread = command("spread", cmd_spread, "spreading model estimation")
+    action(spread, "estimate", "space", m="3", stages="2,3", subseq="identity", seed="0")
+    action(spread, "exact", "xi", coeffs="1,1,1", subseq="identity")
+    action(spread, "equiv", "xi", m="3", subseq="identity", subseq2="affine(2,3)", seed="0")
+    action(spread, "bridge", "rho", g_xi="1", C="1", depth="6", seed="0")
 
-    p = sub.add_parser("certify", help="certificate search, verify, brackets")
-    p.add_argument("action", choices=["search", "verify", "bracket"])
-    p.add_argument("cert", nargs="?", help="certificate JSON (verify)")
-    p.add_argument("rho", nargs="?", help="rho sequence spec")
-    p.add_argument("--xi", default="ALL")
-    p.add_argument("--C", default="1")
-    p.add_argument("--depth", default="4")
-    p.add_argument("--resolution", default="1/16")
-    p.add_argument("--l-max", dest="l_max")
-    p.add_argument("--constraint")
-    p.add_argument("--g-space", dest="g_space")
-    common(p, q=True, budgets=True)
-    p.set_defaults(func=cmd_certify)
-
-    p = sub.add_parser("transfer", help="certificate transformers")
-    p.add_argument(
-        "action", choices=["shift", "sum", "limit", "merge", "block", "frak", "select"]
-    )
-    p.add_argument("inputs", nargs="*", help="certificate/sequence files")
-    p.add_argument("--rho")
-    p.add_argument("--target", help="target ordinal (shift) or family (block)")
-    p.add_argument("--shift", default="0")
-    p.add_argument("--xi", default="w")
-    p.add_argument("--r", default="1")
-    p.add_argument("--eps", default="1/2")
-    p.add_argument("--phi", default="1/8")
-    p.add_argument("--depth", default="4")
-    common(p, q=True)
-    p.set_defaults(func=cmd_transfer)
-
-    p = sub.add_parser("spread", help="spreading model estimation")
-    p.add_argument("action", choices=["estimate", "exact", "equiv", "bridge"])
-    p.add_argument("space", help="space / ordinal / rho depending on action")
-    p.add_argument("--m", default="3")
-    p.add_argument("--stages", default="2,3")
-    p.add_argument("--subseq", default="identity")
-    p.add_argument("--subseq2", default="affine(2,3)")
-    p.add_argument("--coeffs", default="1,1,1")
-    p.add_argument("--g-xi", dest="g_xi", default="1")
-    p.add_argument("--C", default="1")
-    p.add_argument("--depth", default="6")
-    common(p, q=True, seed=True)
-    p.set_defaults(func=cmd_spread)
-
-    p = sub.add_parser("acceptance", help="run acceptance suites")
+    p = commands.add_parser("acceptance", help="run acceptance suites")
     p.add_argument("suite", nargs="?", default="all", choices=sorted(acc.SUITES))
     p.add_argument("--list", action="store_true")
-    common(p, seed=True)
+    p.add_argument("--seed", default="0")
+    p.add_argument("--out", help="also write the output to this file")
     p.set_defaults(func=cmd_acceptance)
 
     return parser

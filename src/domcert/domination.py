@@ -740,11 +740,13 @@ def gamma_bracket(
     Upper bounds come from verified certificates (sharpened to their worst
     observed ratio); lower bounds from exhausted searches (sharpened to the
     smallest killing constant).  Bounds are statements about the finite
-    index box only, as recorded in the budget report.
+    index box only, as recorded in the budget report.  The searches share
+    `node_budget` and `time_budget`: each gets what the ones before left.
     """
     resolution = Fraction(resolution)
     if resolution <= 0:
         raise DominationError("resolution must be positive")
+    deadline = time.monotonic() + time_budget
     g_space = g_space or rho.space
     budget = {"nodes": 0, "l_max": l_max if l_max is not None else max(len(rho), depth)}
 
@@ -754,12 +756,12 @@ def gamma_bracket(
     cert: Optional[Certificate] = None
 
     def attempt(c_val: Fraction) -> SearchOutcome:
-        remaining = node_budget - budget["nodes"]
-        if remaining <= 0:
+        remaining, seconds = node_budget - budget["nodes"], deadline - time.monotonic()
+        if remaining <= 0 or seconds <= 0:
             return SearchOutcome("budget")
         out = search_certificate(
             rho, xi, c_val, depth, g_space, q, l_max,
-            node_budget=remaining, time_budget=time_budget,
+            node_budget=remaining, time_budget=seconds,
         )
         budget["nodes"] += out.nodes
         return out

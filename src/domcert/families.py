@@ -446,33 +446,6 @@ def find_order_embedding(src: Family, dst: Family, n: int) -> EmbeddingResult:
     return EmbeddingResult(full, nodes, False)
 
 
-def family_cardinality_bound(fam: Family) -> Optional[int]:
-    """Largest member size the family ever attains, or None when unbounded."""
-    if isinstance(fam, AllFinite):
-        return None
-    if isinstance(fam, FineSchreier):
-        if fam.xi.is_finite:
-            return fam.xi.as_int()
-        return None
-    if isinstance(fam, Schreier):
-        if fam.xi.is_zero:
-            return 1
-        return None
-    if isinstance(fam, SumFamily):
-        if fam.zeta.is_finite and fam.xi.is_finite:
-            return fam.zeta.as_int() + fam.xi.as_int()
-        return None
-    if isinstance(fam, NFold):
-        inner = family_cardinality_bound(fam.base)
-        return None if inner is None else fam.n * inner
-    if isinstance(fam, Restrict):
-        # the stream continues beyond the prefix, so spreads stay available
-        return family_cardinality_bound(fam.base)
-    if isinstance(fam, Explicit):
-        return max((len(f) for f in fam.members), default=0)
-    raise FamilyError(f"unknown family {fam!r}")
-
-
 def parse_family(text: str, q: QSchedule = Q_DEFAULT) -> Family:
     """Grammar: F[<ordinal>], S[<ordinal>], ALL, SUM(zeta;xi),
     NFOLD(<family>;n), RESTRICT(<family>;a,b,c,...)."""

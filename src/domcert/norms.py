@@ -201,7 +201,8 @@ def _admissible_systems(fam: Family, groups: list, min_parts: int):
     part before, whose lows form a member of fam; those with fewer than
     `min_parts` parts are skipped.  A node (g, lows, parts) stands for its
     extensions; each set of lows is tested once for all parts of its group,
-    and the walk runs on an explicit stack, which leaves no reference cycle."""
+    and the walk runs on an explicit stack, which leaves no reference cycle.
+    The lows are positive and increase, so they go to `_member` unchecked."""
     stack = [(0, (), ())]
     while stack:
         start, lows, parts = stack.pop()
@@ -209,7 +210,7 @@ def _admissible_systems(fam: Family, groups: list, min_parts: int):
             yield parts
         for low, pieces in groups[start:]:
             new_lows = lows + (low,)
-            if fam.member(new_lows):
+            if fam._member(new_lows):
                 stack.extend((nxt, new_lows, parts + (part,)) for nxt, part in pieces)
 
 

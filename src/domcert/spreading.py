@@ -22,7 +22,7 @@ from .domination import (
     search_certificate,
     verify_certificate,
 )
-from .families import QSchedule, Q_DEFAULT, Schreier, family_cardinality_bound
+from .families import QSchedule, Q_DEFAULT, Schreier
 from .norms import Combinatorial, SpaceSpec, norm
 from .ordinals import Ordinal
 from .rationals import Mag, MAG_INF, MAG_ZERO, mag_max
@@ -108,9 +108,6 @@ class SpreadingTable:
     probes: tuple[tuple[Fraction, ...], ...]
     values: dict[tuple[Fraction, ...], Mag]
     exact: bool = False
-
-    def value(self, probe) -> Mag:
-        return self.values[tuple(Fraction(v) for v in probe)]
 
     def to_json(self) -> dict:
         from .rationals import format_fraction
@@ -216,8 +213,7 @@ def _tail_stage(
     past a witness set of each size up to cap (None when the scan finds
     none); both are independent of the coefficients."""
     fam = Schreier(xi, q)
-    bound = family_cardinality_bound(fam)
-    cap = m if bound is None else min(m, bound)
+    cap = 1 if xi.is_zero else m  # S[0] has only singletons, higher levels every size
 
     # find a witness set of each needed size, then a stage past its maximum
     witness_max = 0

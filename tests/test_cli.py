@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import golden_runner
-from domcert.cli import main
+from domcert.cli import build_parser, main
 from domcert.vectors import Vector
 
 
@@ -364,22 +365,138 @@ class TestUsageErrors:
             ["certify", "search"],
             ["transfer", "frak", "basis:LP(2):2", "--eps", "-1", "--depth", "2"],
             ["transfer", "frak", "basis:C0:3", "--eps", "0", "--depth", "3"],
+            ["transfer", "sum", "{cert}", "--rho", "basis:C0:2"],
+            ["certify"],
         ],
         ids=[
             "unknown-command", "unknown-flag", "ignored-seed", "ignored-budget",
             "unknown-suite", "ord-add-one", "ord-fs-one", "fam-member-no-set",
             "transfer-no-inputs", "transfer-no-rho", "transfer-no-target",
             "verify-no-rho", "search-no-rho", "frak-negative-eps", "frak-zero-eps",
+            "sum-one-input", "no-action",
         ],
     )
     def test_exit_one_with_message(self, capsys, tmp_path, argv):
+        code = main(self.with_files(tmp_path, argv))
+        err = capsys.readouterr().err
+        assert code == 1 and err.splitlines()[-1].startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fam", "enum", "F[1]", "2", "4"],
+            ["fam", "member", "S[1]", "2,3", "extra"],
+            ["certify", "search", "basis:X[S[1]]:3", "basis:C0:5"],
+            ["certify", "verify", "{cert}", "basis:C0:2", "--xi", "2"],
+            ["dominate", "exact", "basis:L1:2", "basis:C0:2", "--trials", "5"],
+            ["transfer", "frak", "basis:C0:3", "--eps", "1", "--depth", "3", "--rho", "x.json"],
+            ["spread", "exact", "1", "--m", "7"],
+        ],
+        ids=[
+            "enum-extra-bound", "member-extra", "search-second-rho", "verify-xi",
+            "exact-trials", "frak-rho", "spread-exact-m",
+        ],
+    )
+    def test_argument_the_action_does_not_read(self, capsys, tmp_path, argv):
+        # each of these used to exit 0, reading one of the values or neither
+        code = main(self.with_files(tmp_path, argv))
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.splitlines()[-1].startswith("error: unrecognized arguments: ")
+
+    @staticmethod
+    def with_files(tmp_path, argv):
         cert = {"xi": "2", "M": [1, 2], "L": [1, 2], "C": "1", "g_space": "C0", "rho": ""}
         (tmp_path / "cert.json").write_text(json.dumps(cert))
         (tmp_path / "blocks.json").write_text(json.dumps([Vector.of({1: 1}).to_json()]))
         files = {"{cert}": str(tmp_path / "cert.json"), "{blocks}": str(tmp_path / "blocks.json")}
-        code = main([files.get(a, a) for a in argv])
-        err = capsys.readouterr().err
-        assert code == 1 and err.splitlines()[-1].startswith("error: ")
+        return [files.get(a, a) for a in argv]
+
+
+class RecordingNamespace(argparse.Namespace):
+    """A namespace that records the attributes read from it."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self._read = set()
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_read").add(name)
+        return object.__getattribute__(self, name)
+
+
+def subparsers(parser):
+    """The parsers under `parser`'s subcommand, by name ({} if it has none)."""
+    return next(
+        (a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)), {}
+    )
+
+
+X1_CERT = {"M": [1, 2, 3, 4], "L": [1, 2, 3, 4], "C": "1", "g_space": "X[S[1]]", "rho": ""}
+# one valid argv per action; {name} is a file of FILES
+ACTION_ARGVS = [
+    ["ord", "parse", "w"],
+    ["ord", "add", "w*2+3", "w+1"],
+    ["ord", "cmp", "w", "1"],
+    ["ord", "classify", "w+1"],
+    ["ord", "fs", "w^2", "2"],
+    ["fam", "member", "F[w]", "3 5 7"],
+    ["fam", "enum", "S[1]", "3"],
+    ["fam", "rank", "F[3]", "10"],
+    ["fam", "regular", "RESTRICT(S[1];2,3,5,7,9)", "5"],
+    ["fam", "am-witness", "2", "w", "10"],
+    ["fam", "embed", "F[w]", "S[1]", "8"],
+    ["norm", "eval", "PCONV(X[S[1]];2)", "{vector}", "--precision", "8"],
+    ["dominate", "exact", "basis:L1:2", "basis:C0:2"],
+    ["dominate", "lb", "basis:L1:3", "basis:C0:3", "--trials", "20", "--seed", "7"],
+    ["certify", "search", "basis:X[S[1]]:4", "--xi", "ALL", "--C", "1", "--depth", "4"],
+    ["certify", "verify", "{cert1}", "basis:X[S[1]]:4"],
+    ["certify", "bracket", "basis:L1:3", "--xi", "ALL", "--depth", "3", "--g-space", "C0"],
+    ["transfer", "shift", "{cert2}", "--rho", "basis:X[S[1]]:4", "--target", "1"],
+    ["transfer", "sum", "{cert1}", "{cert1}", "--rho", "basis:X[S[1]]:6"],
+    ["transfer", "limit", "{cert1}", "{cert2}", "--rho", "basis:X[S[1]]:6"],
+    ["transfer", "merge", "{cert2}", "{cert1}", "--rho", "basis:X[S[1]]:6"],
+    ["transfer", "block", "{blocks}", "--target", "S[1]"],
+    ["transfer", "frak", "basis:X[S[1]]:6", "--eps", "1", "--depth", "4"],
+    ["transfer", "select", "basis:C0:8", "--xi", "1", "--eps", "1/2", "--depth", "4"],
+    ["spread", "estimate", "X[S[1]]", "--m", "2", "--stages", "2,3"],
+    ["spread", "exact", "1", "--coeffs", "1,1,1,1"],
+    ["spread", "equiv", "1", "--m", "2"],
+    ["spread", "bridge", "basis:X[S[1]]:8", "--depth", "3"],
+    ["acceptance", "families", "--seed", "0"],
+]
+FILES = {
+    "vector": Vector.of({2: 1, 3: 1}).to_json(),
+    "cert1": {"xi": "1", **X1_CERT},
+    "cert2": {"xi": "2", **X1_CERT},
+    "blocks": [Vector.of({1: 1, 2: 1}).to_json(), Vector.of({3: 1}).to_json()],
+}
+
+
+class TestEachActionReadsWhatItDeclares:
+    """Every positional and flag an action's parser declares is read by the
+    handler on a valid run, so the parser accepts nothing that is ignored."""
+
+    @pytest.mark.parametrize("argv", ACTION_ARGVS, ids=[" ".join(a[:2]) for a in ACTION_ARGVS])
+    def test_every_declared_argument_is_read(self, capsys, tmp_path, argv):
+        for name, content in FILES.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(content))
+        argv = [str(tmp_path / f"{a[1:-1]}.json") if a[1:-1] in FILES else a for a in argv]
+        args = build_parser().parse_args(argv)
+        recording = RecordingNamespace(**vars(args))
+        assert args.func(recording) in (0, 2, 3)
+        declared = set(vars(args)) - {"command", "action", "func"}
+        assert declared - recording._read == set()
+
+    def test_every_action_has_an_argv(self):
+        parsed = {tuple(argv[: 1 if argv[0] == "acceptance" else 2]) for argv in ACTION_ARGVS}
+        actions = {
+            (command, *([action] if action else []))
+            for command, parser in subparsers(build_parser()).items()
+            for action in subparsers(parser) or [None]
+        }
+        assert parsed == actions and len(ACTION_ARGVS) == 29
 
 
 class TestMalformedInput:

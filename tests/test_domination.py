@@ -696,6 +696,17 @@ class TestGammaBracket:
         assert bracket.lower == 4 and bracket.upper == 4
         assert len(calls) == 1 and calls[0].C == 4
 
+    def test_searches_share_one_time_budget(self, monkeypatch):
+        # the clock advances a second per read and a search reads it once per
+        # node: 2 000 s cover each of the five searches but not all of them
+        clock = itertools.count()
+        monkeypatch.setattr(domination.time, "monotonic", lambda: next(clock))
+        bracket = gamma_bracket(basis_sequence(L1(), 6), None, 6, g_space=C0(), time_budget=2000)
+        assert bracket.budget_report["exhausted"] is True
+        assert bracket.lower == 5 and bracket.upper == 6
+        # the clock stops one read past the last search's deadline, 2 001
+        assert next(clock) == 2003
+
     @pytest.mark.parametrize("resolution", [Fraction(0), Fraction(-1)])
     def test_nonpositive_resolution_rejected(self, resolution):
         # once the bounds meet, upper > lower + resolution still holds
