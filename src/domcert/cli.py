@@ -3,15 +3,17 @@
 Thin adapters over the library: every numerical decision lives in the core
 modules.  Each action has its own parser, which declares exactly the
 positionals and flags its branch of the command's handler reads, so an
-argument the action does not read is a usage error.  Exit codes: 0 success,
-1 usage or parse error, 2 property violation found, 3 search or budget
-exhausted.
+argument the action does not read is a usage error, printed under that
+action's usage.  Exit codes: 0 success, 1 usage or parse error, 2 property
+violation found, 3 search or budget exhausted; a reader that closes the
+output early changes neither the exit code nor the --out file.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Callable
@@ -74,6 +76,9 @@ class CliError(Exception):
 class _Parser(argparse.ArgumentParser):
     """Reports usage errors as CliError (exit 1) instead of exiting with 2."""
 
+    # each (command, action)'s parser, whose usage an argument it does not read gets
+    leaves: dict[tuple[str, str | None], argparse.ArgumentParser]
+
     def error(self, message: str):
         self.print_usage(sys.stderr)
         raise CliError(message)
@@ -135,7 +140,10 @@ def _emit(payload, args) -> None:
         text = payload
     else:
         text = json.dumps(payload, indent=2, sort_keys=True)
-    print(text)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:  # the reader left early: the run and its exit code stand
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # quiets the exit flush
     if args.out:
         Path(args.out).write_text(text + "\n")
 
@@ -475,17 +483,20 @@ def build_parser() -> argparse.ArgumentParser:
         "domination certificates with exact arithmetic",
     )
     commands = parser.add_subparsers(dest="command", required=True)
+    parser.leaves = {}
     required = object()
 
     def command(name, func, help):
         p = commands.add_parser(name, help=help)
         p.set_defaults(func=func)
-        return p.add_subparsers(dest="action", required=True)
+        return name, p.add_subparsers(dest="action", required=True)
 
-    def action(actions, name, *positionals, q=True, **flags):
-        """The action's parser: its positionals, a --<dest> flag per keyword
-        (the value is its default, or `required`), --out, and --q if q."""
-        p = actions.add_parser(name)
+    def action(cmd, name, *positionals, q=True, **flags):
+        """The parser of action `name` of cmd = (command, its actions): its
+        positionals, a --<dest> flag per keyword (the value is its default,
+        or `required`), --out, and --q if q."""
+        command_name, actions = cmd
+        p = parser.leaves[command_name, name] = actions.add_parser(name)
         for positional in positionals:
             p.add_argument(positional)
         for dest, default in flags.items():
@@ -543,7 +554,9 @@ def build_parser() -> argparse.ArgumentParser:
     action(spread, "equiv", "xi", m="3", subseq="identity", subseq2="affine(2,3)", seed="0")
     action(spread, "bridge", "rho", g_xi="1", C="1", depth="6", seed="0")
 
-    p = commands.add_parser("acceptance", help="run acceptance suites")
+    p = parser.leaves["acceptance", None] = commands.add_parser(
+        "acceptance", help="run acceptance suites"
+    )
     p.add_argument("suite", nargs="?", default="all", choices=sorted(acc.SUITES))
     p.add_argument("--list", action="store_true")
     p.add_argument("--seed", default="0")
@@ -555,7 +568,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        parser = build_parser()
+        args, unread = parser.parse_known_args(argv)
+        if unread:  # under the usage of the action that does not read them
+            leaf = parser.leaves[args.command, getattr(args, "action", None)]
+            leaf.error(f"unrecognized arguments: {' '.join(unread)}")
         return args.func(args)
     except (CliError, ValueError, OSError) as exc:
         code = getattr(exc, "code", USAGE)

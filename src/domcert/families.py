@@ -20,9 +20,10 @@ tuple belongs to every family.  Constructors:
 Limit levels use the Wainer fundamental sequences except at omega itself,
 where the integer schedule q_n is configurable (default q_n = n).
 
-Membership validates F once per query.  S[xi+1], NFOLD and SUM cut F greedily
-into maximal blocks, exact as every level is hereditary (NFOLD rejects an
-explicit base with a member whose first or last point cannot be dropped);
+Membership validates F once per query.  Each (xi, q) level is one node, made
+once, and membership is memoized by (level, set).  S[xi+1], NFOLD and SUM cut F
+greedily into maximal blocks, exact as every level is hereditary (NFOLD rejects
+an explicit base with a member whose first or last point cannot be dropped);
 F[lam+k] drops the first k points of F.
 """
 
@@ -31,8 +32,8 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
-from typing import Callable, Iterable, Iterator, Optional
+from functools import cached_property, lru_cache, partial
+from typing import Callable, Iterable, Optional
 
 from .ordinals import (
     OMEGA,
@@ -110,8 +111,12 @@ class FineSchreier(Family):
     xi: Ordinal
     q: QSchedule = Q_DEFAULT
 
+    @cached_property
+    def _node(self) -> _Level:
+        return _level(self.xi, self.q)
+
     def _member(self, f: FinSet) -> bool:
-        return _fine_member(self.xi, self.q, f)
+        return _fine_member(self._node, f)
 
 
 @dataclass(frozen=True)
@@ -119,8 +124,12 @@ class Schreier(Family):
     xi: Ordinal
     q: QSchedule = Q_DEFAULT
 
+    @cached_property
+    def _node(self) -> _Level:
+        return _level(self.xi, self.q)
+
     def _member(self, f: FinSet) -> bool:
-        return _schreier_member(self.xi, self.q, f)
+        return _schreier_member(self._node, f)
 
 
 @dataclass(frozen=True)
@@ -135,12 +144,17 @@ class SumFamily(Family):
     xi: Ordinal
     q: QSchedule = Q_DEFAULT
 
+    @cached_property
+    def _nodes(self) -> tuple[_Level, _Level]:
+        return _level(self.zeta, self.q), _level(self.xi, self.q)
+
     def _member(self, f: FinSet) -> bool:
         # G is the longest prefix in F[xi]: a shorter G leaves a larger F
+        zeta, xi = self._nodes
         i = 0
-        while i < len(f) and _fine_member(self.xi, self.q, f[: i + 1]):
+        while i < len(f) and _fine_member(xi, f[: i + 1]):
             i += 1
-        return _fine_member(self.zeta, self.q, f[i:])
+        return _fine_member(zeta, f[i:])
 
 
 @dataclass(frozen=True)
@@ -198,37 +212,63 @@ class Explicit(Family):
         return f in self.members
 
 
+class _Level:
+    """The level (xi, q), one node per value (`_level`), hashed by identity.
+    What a query at xi walks to (its peeled level, its predecessor's Schreier
+    test, its approximating levels) is made on first use and kept."""
+
+    __slots__ = ("xi", "q", "kind", "k", "_peeled", "_pred_member", "_approx")
+
+    def __init__(self, xi: Ordinal, q: QSchedule):
+        self.xi, self.q, self.kind = xi, q, xi.classify()
+        self.k = xi.terms[-1][1] if self.kind == "successor" else 0  # F[lam + k] peels k points
+        self._peeled = self._pred_member = None
+        self._approx: list[_Level] = []
+
+    def peeled(self) -> _Level:  # F[lam + k] -> F[lam]
+        if self._peeled is None:
+            self._peeled = _level(Ordinal(self.xi.terms[:-1]), self.q)
+        return self._peeled
+
+    def pred_member(self) -> Callable[[FinSet], bool]:  # S[xi + 1] -> S[xi]
+        if self._pred_member is None:
+            self._pred_member = partial(_schreier_member, _level(self.xi.pred(), self.q))
+        return self._pred_member
+
+    def approx(self, n: int) -> _Level:
+        """The n-th level (q_n at omega, else Wainer's) converging to the
+        limit xi; asked in index order, so levels 1..n-1 exist."""
+        if n > len(self._approx):
+            xi = from_int(self.q(n)) if self.xi == OMEGA else fundamental_sequence(self.xi, n)
+            self._approx.append(_level(xi, self.q))
+        return self._approx[n - 1]
+
+
+_level = lru_cache(maxsize=None)(_Level)  # the one node of each (xi, q)
+
+
 @lru_cache(maxsize=None)
-def _fine_member(xi: Ordinal, q: QSchedule, f: FinSet) -> bool:
+def _fine_member(level: _Level, f: FinSet) -> bool:
     if not f:
         return True
-    kind = xi.classify()
-    if kind == "zero":
+    if level.kind == "zero":
         return False
-    if kind == "successor":  # xi = lam + k: F[lam + k] peels the first k points
-        k = xi.terms[-1][1]
-        return len(f) <= k or _fine_member(Ordinal(xi.terms[:-1]), q, f[k:])
+    if level.kind == "successor":  # xi = lam + k: F[lam + k] peels the first k points
+        return len(f) <= level.k or _fine_member(level.peeled(), f[level.k :])
     # limit: a witness n <= min F with F in the n-th approximating family.
     # The witness need not be min F, so all n are tried.
-    return any(_fine_member(level, q, f) for level in _approximations(xi, q, f[0]))
+    return any(_fine_member(level.approx(n), f) for n in range(1, f[0] + 1))
 
 
 @lru_cache(maxsize=None)
-def _schreier_member(xi: Ordinal, q: QSchedule, f: FinSet) -> bool:
+def _schreier_member(level: _Level, f: FinSet) -> bool:
     if not f:
         return True
-    kind = xi.classify()
-    if kind == "zero":
+    if level.kind == "zero":
         return len(f) <= 1
-    if kind == "successor":
-        return _greedy_blocks(partial(_schreier_member, xi.pred(), q), f, f[0])
-    return any(_schreier_member(level, q, f) for level in _approximations(xi, q, f[0]))
-
-
-def _approximations(xi: Ordinal, q: QSchedule, m: int) -> Iterator[Ordinal]:
-    """Levels 1..m converging to the limit xi: q_n at omega, else Wainer's."""
-    at_omega = xi == OMEGA
-    return (from_int(q(n)) if at_omega else fundamental_sequence(xi, n) for n in range(1, m + 1))
+    if level.kind == "successor":
+        return _greedy_blocks(level.pred_member(), f, f[0])
+    return any(_schreier_member(level.approx(n), f) for n in range(1, f[0] + 1))
 
 
 def _greedy_blocks(member: Callable[[FinSet], bool], f: FinSet, max_blocks: int) -> bool:

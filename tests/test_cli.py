@@ -403,6 +403,7 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert captured.err.splitlines()[-1].startswith("error: unrecognized arguments: ")
+        assert captured.err.startswith(f"usage: domcert {argv[0]} {argv[1]} ")
 
     @staticmethod
     def with_files(tmp_path, argv):
@@ -556,6 +557,19 @@ class TestDeterminism:
         )
         assert main(["acceptance", "--list"]) == proc.returncode == 0
         assert proc.stdout == capsys.readouterr().out
+
+    def test_reader_that_leaves_early_is_not_an_error(self, tmp_path):
+        # like `domcert fam enum ALL 16 | head -1`: 4 MB of output, one line read
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "domcert", "fam", "enum", "ALL", "16", "--out", "all.json"],
+            cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline() == b"[\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 0 and proc.stderr.read() == b""
+        proc.stderr.close()
+        assert len(json.loads((tmp_path / "all.json").read_text())) == 2**16
 
     def test_seeded_outputs_identical(self, capsys):
         code1, out1 = run(

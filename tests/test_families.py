@@ -15,7 +15,10 @@ from domcert.families import (
     Restrict,
     Schreier,
     SumFamily,
+    _fine_member,
     _increasing_search,
+    _level,
+    _schreier_member,
     almost_monotone_witness,
     as_finset,
     check_regular,
@@ -28,7 +31,7 @@ from domcert.families import (
     rank_restricted,
 )
 from domcert.oracles import _splits, oracle_fine_member, oracle_schreier_member
-from domcert.ordinals import OMEGA, from_int, parse_ordinal
+from domcert.ordinals import OMEGA, OrdinalError, from_int, parse_ordinal
 
 S1 = Schreier(from_int(1))
 
@@ -152,6 +155,49 @@ class TestMember:
         assert fast.member((3, 5, 7))
         assert fast.member((2, 5, 6, 7))  # |F| = 4 <= q_2 = 4
         assert not fast.member((1, 2, 3))
+
+
+class TestLevels:
+    """Each (xi, q) level is one node, shared by F[xi] and S[xi]."""
+
+    @staticmethod
+    def fresh():
+        for cache in (_fine_member, _schreier_member, _level):
+            cache.cache_clear()
+
+    def test_equal_ordinals_share_a_node(self):
+        a, b = parse_ordinal("w*2+3"), parse_ordinal("w*2+3")
+        assert a is not b and _level(a, QSchedule()) is _level(b, QSchedule())
+        assert FineSchreier(a)._node is Schreier(b)._node
+        assert _level(a, QSchedule(slope=2)) is not _level(a, QSchedule())
+
+    @pytest.mark.parametrize("order", [("slope-2", "default"), ("default", "slope-2")])
+    def test_schedules_at_omega_answer_apart(self, order):
+        # q_n = 2n: (2,3,4,5) has |F| = 4 <= q_2; q_n = n allows at most 2 points
+        self.fresh()
+        fams = {"slope-2": FineSchreier(OMEGA, QSchedule(slope=2)), "default": FineSchreier(OMEGA)}
+        assert [fams[name].member((2, 3, 4, 5)) for name in order] == [n == "slope-2" for n in order]
+
+    QUERIES = {"F": (FineSchreier, oracle_fine_member), "S": (Schreier, oracle_schreier_member)}
+    SETS = [f for r in range(1, 6) for f in itertools.combinations(range(1, 8), r)]
+
+    @pytest.mark.parametrize("order", ["FS", "SF"])
+    def test_interleaved_fine_and_schreier_match_oracles(self, order):
+        # at xi = lam + k with k >= 2, F peels to lam while S's blocks are S[xi - 1]
+        self.fresh()
+        for f in self.SETS:
+            for xi in map(parse_ordinal, ("3", "w+2", "w*2+3")):
+                for family, oracle in map(self.QUERIES.get, order):
+                    assert family(xi).member(f) == oracle(xi, f), (family.__name__, xi, f)
+
+    def test_invalid_later_schedule_value_is_not_reached(self):
+        # q(1) = 2 decides (2, 3); q(2) = -1 is no ordinal and is never built
+        fam = FineSchreier(OMEGA, QSchedule(prefix=(2, -1)))
+        assert fam.member((2, 3)) and fam.member((2, 3))
+        stuck = FineSchreier(OMEGA, QSchedule(prefix=(1, -1)))
+        for _ in range(2):  # q(1) = 1 does not decide, and q(2) raises each time
+            with pytest.raises(OrdinalError):
+                stuck.member((2, 3))
 
 
 class TestEnumerate:
