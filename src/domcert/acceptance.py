@@ -415,7 +415,7 @@ def criterion_10_spreading(seed: int = 0) -> tuple[bool, str]:
                 return False, f"m={m}, a={a}: value {res.value} != l1 mass {expect}"
     probes = default_probes(3, seed, extra=8)
     t1 = exact_table(from_int(1), SubseqSpec(), 3, probes)
-    t2 = exact_table(from_int(1), SubseqSpec("affine", 4, 5), 3, probes)
+    t2 = exact_table(from_int(1), SubseqSpec((4,), 5), 3, probes)
     eq = equivalence_constant(t1, t2)
     if not (eq.exact and eq.lower == MAG_ONE and eq.upper == MAG_ONE):
         return False, f"equivalence constant {eq.lower} != 1"

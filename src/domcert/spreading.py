@@ -2,10 +2,15 @@
 
 The iterated limit lim_{l_1} ... lim_{l_m} |sum a_n x_{l_n}| is replaced by a
 geometric index schedule with stability detection: stage s evaluates indices
-L(s*2^n).  For combinatorial spaces the admissible subsets of {1..m} are
-monotone along spreads, so exact tail values are available: a subset
-eventually contributes exactly when the family contains some set of its
-cardinality.
+L(s*2^n), for strictly increasing stages s, where L is one `SubseqSpec` map
+(an explicit prefix continued in equal steps).  For combinatorial spaces the
+admissible subsets of {1..m} are monotone along spreads, so exact tail values
+are available: a subset eventually contributes exactly when the family
+contains some set of its cardinality.
+
+`check_main2_bridge` shares one certificate search and one estimated table
+of rho between its two direction checks, each a flat function that returns
+its report and whether it is inconclusive.
 """
 
 from __future__ import annotations
@@ -18,14 +23,15 @@ from typing import Callable, Optional, Sequence
 
 from .domination import (
     Certificate,
+    SearchOutcome,
     VectorSequence,
     search_certificate,
     verify_certificate,
 )
 from .families import QSchedule, Q_DEFAULT, Schreier
 from .norms import Combinatorial, SpaceSpec, norm
-from .ordinals import Ordinal
-from .rationals import Mag, MAG_INF, MAG_ZERO, mag_max
+from .ordinals import OMEGA, Ordinal
+from .rationals import Mag, MAG_INF, MAG_ZERO, format_fraction, mag_max
 from .vectors import Vector, combine
 
 
@@ -39,19 +45,16 @@ SCAN_BOUND = 64
 
 @dataclass(frozen=True)
 class SubseqSpec:
-    """Strictly increasing index map: identity, affine n -> start + step*(n-1),
-    or an explicit prefix continued affinely from its last entry."""
+    """Strictly increasing index map: the prefix, then on from its last entry
+    (0 when it is empty) in steps of `step`.  SubseqSpec() is the identity and
+    SubseqSpec((s,), d) the affine map n -> s + d*(n-1)."""
 
-    kind: str = "identity"
-    start: int = 1
-    step: int = 1
     prefix: tuple[int, ...] = ()
+    step: int = 1
 
     def __post_init__(self) -> None:
-        if self.kind not in ("identity", "affine", "explicit"):
-            raise SpreadingError(f"unknown subsequence kind {self.kind!r}")
         prev = (0,) + self.prefix
-        if self.start < 1 or self.step < 1 or any(a >= b for a, b in zip(prev, self.prefix)):
+        if self.step < 1 or any(a >= b for a, b in zip(prev, self.prefix)):
             raise SpreadingError(
                 "not a subsequence: need start >= 1, step >= 1 and a strictly "
                 "increasing prefix of positive integers"
@@ -60,17 +63,8 @@ class SubseqSpec:
     def __call__(self, n: int) -> int:
         if n < 1:
             raise SpreadingError("subsequence index starts at 1")
-        if self.kind == "identity":
-            return n
-        if self.kind == "affine":
-            return self.start + self.step * (n - 1)
-        # "explicit", the only kind left: __post_init__ rejects any other
-        if n <= len(self.prefix):
-            return self.prefix[n - 1]
-        if not self.prefix:
-            return n
-        k = n - len(self.prefix)
-        return self.prefix[-1] + self.step * k
+        k = min(n, len(self.prefix))
+        return ((0,) + self.prefix)[k] + self.step * (n - k)
 
     @staticmethod
     def parse(text: str) -> "SubseqSpec":
@@ -79,9 +73,8 @@ class SubseqSpec:
             return SubseqSpec()
         if text.startswith("affine(") and text.endswith(")"):
             start, step = (int(v) for v in text[7:-1].split(","))
-            return SubseqSpec("affine", start, step)
-        values = tuple(int(v) for v in text.split(",") if v.strip())
-        return SubseqSpec("explicit", prefix=values)
+            return SubseqSpec((start,), step)
+        return SubseqSpec(tuple(int(v) for v in text.split(",") if v.strip()))
 
 
 Generator = Callable[[int], Vector]
@@ -110,8 +103,6 @@ class SpreadingTable:
     exact: bool = False
 
     def to_json(self) -> dict:
-        from .rationals import format_fraction
-
         return {
             "m": self.m,
             "stage": self.stage,
@@ -140,6 +131,8 @@ def estimate_spreading(
     """Evaluate |sum a_n x_{L(s*2^n)}| per probe at each stage offset s."""
     if m < 1:
         raise SpreadingError("m must be >= 1")
+    if any(a >= b for a, b in zip(stages, stages[1:])):
+        raise SpreadingError("stages must be strictly increasing")
     probes = (
         [tuple(Fraction(v) for v in p) for p in probes]
         if probes is not None
@@ -315,96 +308,71 @@ def check_main2_bridge(
     """
     C = Fraction(C)
     m = 3
-    g_space = Combinatorial(Schreier(g_xi, q))
-    from .ordinals import OMEGA
-
+    g_fam = Schreier(g_xi, q)
     for n in range(1, depth):
         if q(n) > q(n + 1):
             raise SpreadingError("q schedule must be non-decreasing")
 
     probes = default_probes(m, seed, extra=16)
-    report_a: dict = {}
-    report_b: dict = {}
-    inconclusive = False
-
-    # direction (a): certificate implies table domination
-    out = search_certificate(
-        rho, OMEGA, C, depth, g_space, q, node_budget=500_000
-    )
+    out = search_certificate(rho, OMEGA, C, depth, Combinatorial(g_fam), q, node_budget=500_000)
     # both directions read the same stages of rho's estimated table
     stages = [s for s in (1, 2, 3) if s * 2**m <= len(rho)]
-    est = estimate_spreading(
-        rho.space, lambda n: rho.items[n - 1], SubseqSpec(), m, stages, probes
-    )
-    if out.status != "found":
-        report_a = {"pass": False, "reason": f"no certificate at C={C} ({out.status})"}
-    else:
-        cert = out.certificate
-        if len(stages) < 2:
-            report_a = {"pass": False, "reason": "rho prefix too short for stages"}
-            inconclusive = True
-        else:
-            g_sub = SubseqSpec("explicit", prefix=cert.L)
-            gtab = exact_table(g_xi, g_sub, m, probes, q)
-            bound = Mag.of(C)
-            bad = [
-                p
-                for p in gtab.probes
-                if not est.tables[-1].values[p] <= bound * gtab.values[p]
-            ]
-            report_a = {
-                "pass": not bad and est.stable,
-                "certificate": cert.to_json(),
-                "stable": est.stable,
-                "violating_probes": [[str(c) for c in p] for p in bad],
-            }
-            if not est.stable:
-                inconclusive = True
+    est = estimate_spreading(rho.space, lambda n: rho.items[n - 1], SubseqSpec(), m, stages, probes)
+    report_a, open_a = _direction_a(out, C, est, g_fam)
+    report_b, open_b = _direction_b(rho, est, g_fam, depth)
+    return BridgeReport(report_a, report_b, open_a or open_b)
 
-    # direction (b): table domination + stability implies a certificate
-    if len(stages) < 2:
-        report_b = {"pass": False, "reason": "rho prefix too short for stability"}
-        inconclusive = True
-    else:
-        gtab = exact_table(g_xi, SubseqSpec(), m, probes, q)
-        if not est.stable:
-            report_b = {"pass": False, "reason": "stage stability not reached"}
-            inconclusive = True
-        else:
-            ratios = []
-            for p in gtab.probes:
-                v_rho, v_g = est.tables[-1].values[p], gtab.values[p]
-                if v_g == MAG_ZERO:
-                    if v_rho > MAG_ZERO:
-                        report_b = {"pass": False, "reason": "g table vanishes"}
-                        break
-                    continue
-                ratios.append(v_rho / v_g)
-            else:
-                c_dom = mag_max(ratios)
-                if not c_dom.is_rational:
-                    report_b = {"pass": False, "reason": "irrational table ratio"}
-                    inconclusive = True
-                else:
-                    c_target = 1 + 2 * c_dom.as_fraction()
-                    offset = max(gtab.stage, 1)
-                    max_m = offset + depth
-                    if max_m > len(rho):
-                        report_b = {
-                            "pass": False,
-                            "reason": "rho prefix too short for the shifted certificate",
-                        }
-                        inconclusive = True
-                    else:
-                        m_idx = tuple(range(offset + 1, offset + depth + 1))
-                        cert_b = Certificate(
-                            OMEGA, m_idx, m_idx, c_target, g_space, rho.name
-                        )
-                        rep = verify_certificate(cert_b, rho, q)
-                        report_b = {
-                            "pass": rep.ok,
-                            "table_domination": str(c_dom),
-                            "certificate_constant": str(c_target),
-                            "worst_ratio": str(rep.worst_ratio),
-                        }
-    return BridgeReport(report_a, report_b, inconclusive)
+
+def _direction_a(
+    out: SearchOutcome, C: Fraction, est: EstimateReport, g_fam: Schreier
+) -> tuple[dict, bool]:
+    """Direction (a) of the bridge: its report, and whether it is inconclusive."""
+    if out.status != "found":
+        return {"pass": False, "reason": f"no certificate at C={C} ({out.status})"}, False
+    if len(est.tables) < 2:
+        return {"pass": False, "reason": "rho prefix too short for stages"}, True
+    rho_tab, bound = est.tables[-1], Mag.of(C)
+    g_sub = SubseqSpec(out.certificate.L)
+    gtab = exact_table(g_fam.xi, g_sub, rho_tab.m, rho_tab.probes, g_fam.q)
+    bad = [p for p in gtab.probes if not rho_tab.values[p] <= bound * gtab.values[p]]
+    return {
+        "pass": not bad and est.stable,
+        "certificate": out.certificate.to_json(),
+        "stable": est.stable,
+        "violating_probes": [[str(c) for c in p] for p in bad],
+    }, not est.stable
+
+
+def _direction_b(
+    rho: VectorSequence, est: EstimateReport, g_fam: Schreier, depth: int
+) -> tuple[dict, bool]:
+    """Direction (b) of the bridge: its report, and whether it is inconclusive."""
+    if len(est.tables) < 2:
+        return {"pass": False, "reason": "rho prefix too short for stability"}, True
+    rho_tab = est.tables[-1]
+    gtab = exact_table(g_fam.xi, SubseqSpec(), rho_tab.m, rho_tab.probes, g_fam.q)
+    if not est.stable:
+        return {"pass": False, "reason": "stage stability not reached"}, True
+    ratios = []
+    for p in gtab.probes:
+        v_rho, v_g = rho_tab.values[p], gtab.values[p]
+        if v_g != MAG_ZERO:
+            ratios.append(v_rho / v_g)
+        elif v_rho > MAG_ZERO:
+            return {"pass": False, "reason": "g table vanishes"}, False
+    c_dom = mag_max(ratios)
+    if not c_dom.is_rational:
+        return {"pass": False, "reason": "irrational table ratio"}, True
+    c_target = 1 + 2 * c_dom.as_fraction()
+    offset = max(gtab.stage, 1)
+    if offset + depth > len(rho):
+        return {"pass": False, "reason": "rho prefix too short for the shifted certificate"}, True
+    m_idx = tuple(range(offset + 1, offset + depth + 1))
+    cert = Certificate(OMEGA, m_idx, m_idx, c_target, Combinatorial(g_fam), rho.name)
+    rep = verify_certificate(cert, rho, g_fam.q)
+    return {
+        "pass": rep.ok,
+        "table_domination": str(c_dom),
+        "certificate_constant": str(c_target),
+        "worst_ratio": str(rep.worst_ratio),
+    }, False

@@ -11,8 +11,9 @@ and reading off block-sequence certificates.
 above eps by one dual-ball element.  Membership of F depends on eps only
 through a threshold on an eps-free score, its max-min value z (for l_2,
 z^2 = 1/m with m the squared minimum norm of the witness polyhedron at
-threshold 1), so `wn_select` reads every level phi^k off one hereditary
-sweep of one score table that records the level each member enters at.
+threshold 1), so `wn_select` builds one score table whose hereditary sweep
+records the level each member enters at, and passes it to the
+`frak_f_epsilon` call of every level phi^k.
 The table is read from `norms.functional_rows`, the one builder of every
 phi(v) table, in integers over its denominator.  The max-min is
 `linprog.max_min_over_simplex`, posed like every domcert LP as a support
@@ -24,15 +25,16 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .domination import (
+    EXACT_DIM_BOUND,
     Certificate,
     VectorSequence,
     VerifyReport,
+    right_dominance_defect,
     verify_certificate,
 )
 from .families import (
@@ -57,7 +59,7 @@ from .norms import (
     is_polyhedral,
     norm,
 )
-from .ordinals import Ordinal, format_ordinal
+from .ordinals import OMEGA, Ordinal, format_ordinal, from_int, fundamental_sequence
 from .rationals import MAG_ONE, format_fraction
 from .vectors import Vector
 
@@ -132,9 +134,6 @@ def limit_combine(
     """Diagonalize nested certificates at the approximating levels of a limit
     ordinal: M(n) = M_n(n), L(n) = max_k L_k(s^n_k) over k <= n, constant
     r * max C_k."""
-    from .domination import EXACT_DIM_BOUND, right_dominance_defect
-    from .ordinals import OMEGA, from_int, fundamental_sequence
-
     if xi.classify() != "limit":
         raise TransferError("limit_combine needs a limit ordinal")
     if not certs:
@@ -323,11 +322,11 @@ class _WitnessScores:
     to the first that meets threshold c, as a sweep per threshold tries them,
     and enters at the first threshold from c on that its best score meets."""
 
-    def __init__(self, xs: VectorSequence, n: int, thresholds: Sequence[Fraction] = ()):
+    def __init__(self, xs: VectorSequence, n: int, thresholds: Sequence[Fraction]):
         if n > len(xs):
             raise TransferError("n exceeds the available prefix")
         vectors = xs.items[:n]
-        self.xs, self.n = xs, n
+        self.n = n
         self.l2 = isinstance(xs.space, Lp) and xs.space.p == 2
         # every polyhedral space here is 1-unconditional, so for nonnegative
         # vectors |x*| witnesses whatever x* does: one sign pattern, over the
@@ -349,16 +348,12 @@ class _WitnessScores:
                 self.table += [tuple(-u for u in row) for row in self.table]
         self._maxmin: dict[tuple, Fraction] = {}
         self.thresholds = list(thresholds)
-        self.entry = self._sweep(self.thresholds) if thresholds else {}
+        self.entry = self._sweep(self.thresholds)
 
     def family(self, eps: Fraction) -> Explicit:
-        """frak_eps restricted to {1..n}: read off the sweep when eps is one
-        of its thresholds, else from a sweep of its own."""
-        if eps in self.thresholds:
-            k, entry = self.thresholds.index(eps), self.entry
-        else:
-            k, entry = 0, self._sweep([eps])
-        return Explicit(frozenset(f for f, level in entry.items() if level <= k))
+        """frak_eps restricted to {1..n}, eps one of the sweep's thresholds."""
+        k = self.thresholds.index(eps)
+        return Explicit(frozenset(f for f, level in self.entry.items() if level <= k))
 
     def _sweep(self, thresholds: list[Fraction]) -> dict[FinSet, int]:
         bars = [self.scale * (eps * eps if self.l2 else eps) for eps in thresholds]
@@ -438,22 +433,18 @@ class _WitnessScores:
         return Fraction(0)
 
 
-# the score table of the `wn_select` call in progress, read by its
-# `frak_f_epsilon` calls; set for the span of that call only
-_SHARED_SCORES: ContextVar[Optional[_WitnessScores]] = ContextVar("shared_scores", default=None)
-
-
-def frak_f_epsilon(xs: VectorSequence, eps: Fraction, n: int) -> Explicit:
+def frak_f_epsilon(
+    xs: VectorSequence, eps: Fraction, n: int, scores: Optional[_WitnessScores] = None
+) -> Explicit:
     """The restriction to {1..n} of the family of index sets F admitting one
     dual-ball element x* with |x*(x_i)| >= eps > 0 for every i in F: one
-    hereditary sweep of a witness-score table, fresh unless a `wn_select`
-    call on the same (xs, n) is sharing its own."""
+    hereditary sweep of a witness-score table, `scores` (built for (xs, n)
+    with eps among its thresholds) or else a fresh one."""
     eps = Fraction(eps)
     if eps <= 0:
         raise TransferError(f"eps must be positive, got {format_fraction(eps)}")
-    scores = _SHARED_SCORES.get()
-    if scores is None or scores.xs is not xs or scores.n != n:
-        scores = _WitnessScores(xs, n)
+    if scores is None:
+        scores = _WitnessScores(xs, n, [eps])
     return scores.family(eps)
 
 
@@ -532,24 +523,21 @@ def wn_select(
     target = Schreier(xi, q)
     m_current = tuple(range(1, universe + 1))
     steps: list[SelectionStep] = []
-    # every level reads one score table; depth 0 reads none
+    # every level reads one score table; depth 0 builds none
     thresholds = [phi**k for k in range(1, depth + 1)]
-    token = _SHARED_SCORES.set(_WitnessScores(xs, universe, thresholds) if depth > 0 else None)
-    try:
-        for k, threshold in enumerate(thresholds, start=1):
-            fam_k = frak_f_epsilon(xs, threshold, universe)
-            removed: list[int] = []
-            witness: Optional[FinSet] = None
-            # one pass suffices: dropping an index from M_k cannot make a set
-            # that was skipped or passed fail later
-            for f in sorted(fam_k.members, key=lambda t: (len(t), t)):
-                if f and set(f) <= set(m_current) and not target.member(f):
-                    witness = f
-                    removed.append(f[0])
-                    m_current = tuple(v for v in m_current if v != f[0])
-            steps.append(SelectionStep(k, threshold, m_current, tuple(removed), witness))
-    finally:
-        _SHARED_SCORES.reset(token)
+    scores = _WitnessScores(xs, universe, thresholds) if depth > 0 else None
+    for k, threshold in enumerate(thresholds, start=1):
+        fam_k = frak_f_epsilon(xs, threshold, universe, scores)
+        removed: list[int] = []
+        witness: Optional[FinSet] = None
+        # one pass suffices: dropping an index from M_k cannot make a set
+        # that was skipped or passed fail later
+        for f in sorted(fam_k.members, key=lambda t: (len(t), t)):
+            if f and set(f) <= set(m_current) and not target.member(f):
+                witness = f
+                removed.append(f[0])
+                m_current = tuple(v for v in m_current if v != f[0])
+        steps.append(SelectionStep(k, threshold, m_current, tuple(removed), witness))
 
     selection: list[int] = []
     for k in range(1, depth + 1):

@@ -185,13 +185,13 @@ class TestTransfiniteLevels:
 
 class TestEstimateEdges:
     def test_explicit_subseq_continues_affinely(self):
-        spec = SubseqSpec("explicit", prefix=(3, 5, 9))
+        spec = SubseqSpec((3, 5, 9))
         assert [spec(n) for n in range(1, 6)] == [3, 5, 9, 10, 11]
 
     def test_decreasing_schedule_rejected(self):
         # stage 1 with m=2 probes positions 2 and 4: indices 9 then 4
         with pytest.raises(SpreadingError):
-            spec = SubseqSpec("explicit", prefix=(1, 9, 5, 4))
+            spec = SubseqSpec((1, 9, 5, 4))
             estimate_spreading(
                 C0(), lambda n: Vector.basis(n), spec, 2, [1], [(1, 1)]
             )

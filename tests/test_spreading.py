@@ -25,6 +25,7 @@ from domcert.vectors import Vector
 
 X1 = Combinatorial(Schreier(from_int(1)))
 ONES3 = (Fraction(1), Fraction(1), Fraction(1))
+NOT_A_SUBSEQUENCE = "not a subsequence: need start >= 1, step >= 1 and a strictly increasing"
 
 
 def basis_gen(n):
@@ -54,6 +55,16 @@ class TestEstimate:
     def test_probe_length_checked(self):
         with pytest.raises(SpreadingError):
             estimate_spreading(X1, basis_gen, SubseqSpec(), 3, [1], [(1, 1)])
+
+    @pytest.mark.parametrize("stages", [[1, 1], [2, 1], [1, 3, 3]])
+    def test_stages_must_strictly_increase(self, stages):
+        # a repeated stage compared with itself would claim stability
+        with pytest.raises(SpreadingError, match="stages must be strictly increasing"):
+            estimate_spreading(X1, basis_gen, SubseqSpec(), 3, stages, [ONES3])
+
+    def test_distinct_stages_of_x_s1_are_not_stable(self):
+        rep = estimate_spreading(X1, basis_gen, SubseqSpec(), 3, [1, 2])
+        assert not rep.stable
 
 
 class TestExact:
@@ -87,9 +98,9 @@ def subseqs(draw):
     if kind == "identity":
         return SubseqSpec()
     if kind == "affine":
-        return SubseqSpec("affine", draw(st.integers(1, 9)), draw(st.integers(1, 5)))
+        return SubseqSpec((draw(st.integers(1, 9)),), draw(st.integers(1, 5)))
     gaps = draw(st.lists(st.integers(1, 6), max_size=6))
-    return SubseqSpec("explicit", step=draw(st.integers(1, 3)), prefix=tuple(itertools.accumulate(gaps)))
+    return SubseqSpec(tuple(itertools.accumulate(gaps)), draw(st.integers(1, 3)))
 
 
 @st.composite
@@ -142,7 +153,7 @@ class TestEquivalence:
     def test_subsequence_independence(self):
         probes = default_probes(3, 0, extra=4)
         t1 = exact_table(from_int(1), SubseqSpec(), 3, probes)
-        t2 = exact_table(from_int(1), SubseqSpec("affine", 5, 2), 3, probes)
+        t2 = exact_table(from_int(1), SubseqSpec((5,), 2), 3, probes)
         eq = equivalence_constant(t1, t2)
         assert eq.lower == 1 == eq.upper and eq.exact
 
@@ -179,33 +190,44 @@ class TestSubseqSpec:
     @pytest.mark.parametrize(
         "spec",
         [
-            ("affine", 5, 0),  # constant
-            ("affine", 1, -1),
-            ("affine", 0, 1),
-            ("explicit", 1, 1, (9, 3)),
-            ("explicit", 1, 1, (2, 2)),
-            ("explicit", 1, 1, (0, 1)),
-            ("explicit", 1, 0, (1, 2)),
+            ((5,), 0),  # constant
+            ((1,), -1),
+            ((0,), 1),
+            ((9, 3), 1),
+            ((2, 2), 1),
+            ((0, 1), 1),
+            ((1, 2), 0),
+            ((), 0),
         ],
     )
     def test_rejects_maps_that_are_not_subsequences(self, spec):
-        with pytest.raises(SpreadingError):
+        with pytest.raises(SpreadingError, match=NOT_A_SUBSEQUENCE):
             SubseqSpec(*spec)
-
-    @pytest.mark.parametrize("kind", ["bogus", "", "Identity"])
-    def test_rejects_an_unknown_kind_at_construction(self, kind):
-        with pytest.raises(SpreadingError, match="unknown subsequence kind"):
-            SubseqSpec(kind)
 
     @pytest.mark.parametrize("text", ["affine(5,0)", "9,3", "affine(1,0)", "affine(0,2)"])
     def test_parse_rejects_maps_that_are_not_subsequences(self, text):
-        with pytest.raises(SpreadingError):
+        with pytest.raises(SpreadingError, match=NOT_A_SUBSEQUENCE):
             SubseqSpec.parse(text)
 
     def test_accepts_subsequences(self):
-        assert [SubseqSpec("affine", 4, 5)(n) for n in (1, 2, 3)] == [4, 9, 14]
+        assert [SubseqSpec((4,), 5)(n) for n in (1, 2, 3)] == [4, 9, 14]
         assert [SubseqSpec.parse("2,3")(n) for n in (1, 2, 3)] == [2, 3, 4]
-        assert SubseqSpec("explicit")(7) == 7
+        assert SubseqSpec()(7) == 7
+
+    def test_parse_spellings(self):
+        assert SubseqSpec.parse(" id ") == SubseqSpec.parse("identity") == SubseqSpec()
+        assert SubseqSpec.parse("affine(3,4)") == SubseqSpec((3,), 4)
+        assert SubseqSpec.parse("2,5,9") == SubseqSpec((2, 5, 9))
+        assert SubseqSpec.parse("") == SubseqSpec()
+
+    def test_continues_in_steps_from_the_prefix_or_zero(self):
+        assert [SubseqSpec((2, 5), 3)(n) for n in range(1, 6)] == [2, 5, 8, 11, 14]
+        # the step holds with an empty prefix too: n -> step*n
+        assert [SubseqSpec(step=3)(n) for n in (1, 2, 3)] == [3, 6, 9]
+
+    def test_index_starts_at_one(self):
+        with pytest.raises(SpreadingError, match="subsequence index starts at 1"):
+            SubseqSpec((2, 5))(0)
 
 
 class TestBridge:

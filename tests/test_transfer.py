@@ -471,9 +471,9 @@ class TestFrakDifferential:
         seen = []
         frak = transfer.frak_f_epsilon
 
-        def recording(xs, eps, n):
-            fam = frak(xs, eps, n)
-            seen.append((eps, fam))
+        def recording(xs, eps, n, scores=None):
+            fam = frak(xs, eps, n, scores)
+            seen.append((eps, fam, scores))
             return fam
 
         with mock.patch.object(transfer, "frak_f_epsilon", recording):
@@ -486,9 +486,12 @@ class TestFrakDifferential:
                 # the selection failed its exact check, or it keeps two
                 # overlapping l_2 vectors, which the exact check cannot take
                 outcome = None
-        assert [eps for eps, _ in seen] == [phi, phi**2, phi**3]
-        for eps, fam in seen:
+        assert [eps for eps, _, _ in seen] == [phi, phi**2, phi**3]
+        # every level reads the one table the selection built
+        assert seen[0][2] is not None and all(t is seen[0][2] for _, _, t in seen)
+        for eps, fam, _ in seen:
             assert fam == oracle_frak(xs, eps, len(xs))
+            assert fam == frak(xs, eps, len(xs))
         if outcome is not None:
             assert outcome == oracle_selection(xs, phi, 3)
 
@@ -496,7 +499,7 @@ class TestFrakDifferential:
         # e1 and -e1 in c0 are witnessed at 1 by e1 with the signs (1, -1)
         # only: under the pattern (1, 1) the max-min value is 0
         xs = VectorSequence((Vector.of({1: 1}), Vector.of({1: -1})), C0(), "pair")
-        assert transfer._WitnessScores(xs, 2)._max_min((1, 2), (1, 1)) == 0
+        assert transfer._WitnessScores(xs, 2, [Fraction(1)])._max_min((1, 2), (1, 1)) == 0
         assert (1, 2) in oracle_frak(xs, Fraction(1), 2).members
         assert oracle_frak(xs, Fraction(1), 2) == frak_f_epsilon(xs, Fraction(1), 2)
 
@@ -544,8 +547,9 @@ class TestSelectionSweep:
             seen = []
             frak = transfer.frak_f_epsilon
 
-            def recording(xs, eps, n):
-                seen.append((eps, frak(xs, eps, n)))
+            def recording(xs, eps, n, scores=None):
+                assert scores is not None
+                seen.append((eps, frak(xs, eps, n, scores)))
                 return seen[-1][1]
 
             with mock.patch.object(transfer, "frak_f_epsilon", recording):
@@ -646,20 +650,6 @@ class TestWnSelect:
         # one functional table per wn_select call, unsigned or signed
         assert selected["functional_rows"] == 1
         assert selected["max_min_over_simplex"] == calls["max_min_over_simplex"] > 0
-
-    def test_shared_table_lasts_one_call(self):
-        with pytest.raises(ShadowFailure):
-            wn_select(basis_sequence(L1(), 10), from_int(1), Fraction(1, 2), Fraction(1, 8), 6)
-        assert transfer._SHARED_SCORES.get() is None
-        xs = basis_sequence(C0(), 8)
-        wn_select(xs, from_int(1), Fraction(1, 2), Fraction(1, 8), 4)
-        assert transfer._SHARED_SCORES.get() is None
-        # a call on another prefix inside the span builds its own table
-        token = transfer._SHARED_SCORES.set(transfer._WitnessScores(xs, 8))
-        try:
-            assert frak_f_epsilon(xs, Fraction(1), 3) == oracle_frak(xs, Fraction(1), 3)
-        finally:
-            transfer._SHARED_SCORES.reset(token)
 
 
 class TestCombinatorProperties:
