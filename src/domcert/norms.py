@@ -220,9 +220,21 @@ class TsirelsonEngine:
 
     Single-interval systems never decide the supremum (theta < 1), so the
     value of a projection only depends on strictly shorter projections and
-    the recursion is well founded.  `check_idempotent` replays one literal
-    application of the defining operator over all interval systems,
-    confirming the table is a fixed point.
+    the recursion is well founded.  `check_idempotent` replays the defining
+    operator once more, single-interval systems included, over every set of
+    lows in every projection of the table, confirming it is a fixed point.
+
+    The operator walks sets of lows, not systems: once the lows
+    a_1 < ... < a_r are fixed, each part ends on its own, b_k in
+    [a_k, a_{k+1} - 1] and b_r in [a_r, j], so the best sum over the
+    systems with those lows is the sum over k of the best value(a_k, b).
+    That holds for any table, so the replay stays exact on a table that is
+    not a fixed point.
+
+    Values are kept as integers over `scale` = den * b**n, den the common
+    denominator of the coefficients, theta = a/b and n the support size.  A
+    value on L points nests at most L - 1 theta-levels and the replay adds
+    one, so each division by b is exact; one that is not raises.
     """
 
     SUPPORT_BOUND = 16
@@ -236,23 +248,46 @@ class TsirelsonEngine:
         self.fam = Schreier(xi, q)
         self.theta = theta
         self.supp = x.support
-        self.coeffs = dict(x.entries)
-        self._value: dict[tuple[int, int], Fraction] = {}
+        den, masses, _ = _integer_masses(x)
+        self.scale = den * theta.denominator ** len(self.supp)
+        self._sup = [m * (self.scale // den) for m in masses]
+        self._value: dict[tuple[int, int], int] = {}
 
-    def _operator(self, i: int, j: int, min_parts: int) -> Fraction:
+    def _peak(self, peaks: dict[int, list[int]], a: int, e: int) -> int:
+        """The largest value(a, b) over b in [a..e]: peaks[a] holds the
+        running maxima from a, extended only as far as asked."""
+        run = peaks[a]
+        while len(run) <= e - a:
+            v = self.value(a, a + len(run))
+            run.append(max(run[-1], v) if run else v)
+        return run[e - a]
+
+    def _operator(self, i: int, j: int, min_parts: int) -> int:
         """The defining operator on positions [i..j]: the larger of the sup
         norm and theta times the best sum of values over admissible systems
-        of disjoint position intervals with at least `min_parts` parts."""
-        sup_part = max(abs(self.coeffs[self.supp[k]]) for k in range(i, j + 1))
-        groups = [
-            (self.supp[a], [(b + 1 - i, (a, b)) for b in range(a, j + 1)])
-            for a in range(i, j + 1)
-        ]
-        systems = _admissible_systems(self.fam, groups, min_parts)
-        best = max((sum(itertools.starmap(self.value, s)) for s in systems), default=0)
-        return max(sup_part, self.theta * best)
+        of disjoint position intervals with at least `min_parts` parts.  A
+        node (lows, closed, a) of the walk has its parts before the last low
+        a closed at their best, summing to `closed`; with min_parts >= 2 the
+        part from a = i closes before j, so value(i, j) is never asked."""
+        supp, member = self.supp, self.fam._member
+        peaks: dict[int, list[int]] = {a: [] for a in range(i, j + 1)}
+        best = 0
+        stack = [((supp[a],), 0, a) for a in range(i, j + 1) if member((supp[a],))]
+        while stack:
+            lows, closed, a = stack.pop()
+            if len(lows) >= min_parts:
+                best = max(best, closed + self._peak(peaks, a, j))
+            for c in range(a + 1, j + 1):
+                new_lows = lows + (supp[c],)
+                if member(new_lows):
+                    stack.append((new_lows, closed + self._peak(peaks, a, c - 1), c))
+        top, rest = divmod(self.theta.numerator * best, self.theta.denominator)
+        if rest:
+            raise ArithmeticError(f"inexact Tsirelson step on positions [{i}..{j}]")
+        return max(max(self._sup[i : j + 1]), top)
 
-    def value(self, i: int, j: int) -> Fraction:
+    def value(self, i: int, j: int) -> int:
+        """value(i, j) * scale, the scaled value of the projection on [i..j]."""
         if (i, j) not in self._value:
             self._value[(i, j)] = self._operator(i, j, 2)
         return self._value[(i, j)]
@@ -260,7 +295,7 @@ class TsirelsonEngine:
     def norm(self) -> Fraction:
         if not self.supp:
             return Fraction(0)
-        return self.value(0, len(self.supp) - 1)
+        return Fraction(self.value(0, len(self.supp) - 1), self.scale)
 
     def check_idempotent(self) -> bool:
         """One more application of the defining operator changes nothing."""

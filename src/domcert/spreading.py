@@ -326,9 +326,12 @@ def check_main2_bridge(
 def _direction_a(
     out: SearchOutcome, C: Fraction, est: EstimateReport, g_fam: Schreier
 ) -> tuple[dict, bool]:
-    """Direction (a) of the bridge: its report, and whether it is inconclusive."""
+    """Direction (a) of the bridge: its report, and whether it is inconclusive.
+    A search that ran out of its budget leaves it open; an exhausted one
+    refutes it."""
     if out.status != "found":
-        return {"pass": False, "reason": f"no certificate at C={C} ({out.status})"}, False
+        reason = f"no certificate at C={C} ({out.status})"
+        return {"pass": False, "reason": reason}, out.status == "budget"
     if len(est.tables) < 2:
         return {"pass": False, "reason": "rho prefix too short for stages"}, True
     rho_tab, bound = est.tables[-1], Mag.of(C)

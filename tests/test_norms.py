@@ -520,6 +520,16 @@ def recursive_tsirelson(fam, theta, x):
     return value, table
 
 
+def assert_same_replay(engine, fam, theta, x, value, table):
+    """The engine replays every projection of `table` to the defining
+    operator's value, also on a table that is not a fixed point, where the
+    best part from a low need not be its longest."""
+    keys = sorted(table)
+    assert [Fraction(engine._operator(a, b, 1), engine.scale) for a, b in keys] == [
+        defining_operator(fam, theta, x, value, a, b, 1) for a, b in keys
+    ]
+
+
 def build_closure(space, support):
     """The closure of `_tsirelson_abs_functionals` as a self-recursive
     search that tests the lows once per part, as an oracle."""
@@ -573,17 +583,22 @@ class TestAdmissibleSystemWalk:
         engine = TsirelsonEngine(from_int(xi), theta, x)
         top = value(0, len(x.support) - 1)
         assert engine.norm() == tsirelson_norm(from_int(xi), theta, x) == top
-        assert engine._value == table
+        assert {k: Fraction(v, engine.scale) for k, v in engine._value.items()} == table
         # the replay is the operator once more, with single systems allowed:
-        # a fixed point passes, a table with one value moved may not
-        (i, j), v = data.draw(st.sampled_from(sorted(table.items())))
-        v += data.draw(st.sampled_from([0, 1, Fraction(-1, 7)]))
-        engine._value[(i, j)] = table[(i, j)] = v
+        # a fixed point passes, a table with one value moved may not.  A value
+        # on L of n points is a multiple of b**(n - L + 1) scaled units
+        # (theta = a/b), so moving it by that many keeps every division exact.
+        i, j = data.draw(st.sampled_from(sorted(table)))
+        unit = theta.denominator ** (len(x.support) - (j - i))
+        delta = data.draw(st.sampled_from([0, engine.scale, unit, -unit]))
+        engine._value[(i, j)] += delta
+        table[(i, j)] += Fraction(delta, engine.scale)
         replay = all(
             defining_operator(fam, theta, x, value, a, b, 1) == w
             for (a, b), w in list(table.items())
         )
         assert engine.check_idempotent() == replay
+        assert_same_replay(engine, fam, theta, x, value, table)
 
     @given(
         tsirelson_params,
@@ -602,6 +617,42 @@ class TestAdmissibleSystemWalk:
     )
     def test_six_point_functionals_match_recursive_closure(self, space, support):
         assert _tsirelson_abs_functionals(space, support) == build_closure(space, support)
+
+    def test_replay_takes_the_best_part_not_the_longest(self):
+        # raising value(3, 3) puts it above value(3, 4): the replay must read
+        # the largest value over a low's ends, not the value of its last end
+        theta, x = Fraction(2, 3), Vector.of({1: 3, 3: 2, 5: 1, 7: 1, 9: Fraction(-1, 3), 10: 1})
+        fam = Schreier(from_int(1))
+        value, table = recursive_tsirelson(fam, theta, x)
+        engine = TsirelsonEngine(from_int(1), theta, x)
+        assert engine.norm() == value(0, 5)
+        engine._value[(3, 3)] += engine.scale
+        table[(3, 3)] += 1
+        assert_same_replay(engine, fam, theta, x, value, table)
+
+    def test_inexact_division_raises(self):
+        # one scaled unit off a multiple of b cannot come from the operator
+        engine = TsirelsonEngine(T12.xi, T12.theta, Vector.of({2: 1, 3: 1}))
+        engine.norm()
+        engine._value[(0, 0)] += 1
+        with pytest.raises(ArithmeticError):
+            engine.check_idempotent()
+
+    # past the recursive oracle: on 7 and 8 points the norm is the largest
+    # sum |phi_i| |x_i| over the admissible-tree functionals; a support from
+    # 1 keeps the closure under 3 300 of them
+    @pytest.mark.parametrize("xi, theta", [(1, Fraction(1, 2)), (1, Fraction(1, 3)), (2, Fraction(2, 3))])
+    @pytest.mark.parametrize("size", [7, 8])
+    def test_engine_matches_functional_closure(self, xi, theta, size):
+        rng = random.Random(size * 10 + xi)
+        support = (1, *sorted(rng.sample(range(2, 12), size - 1)))
+        coeffs = [Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3)]
+        x = Vector.of({i: rng.choice(coeffs) for i in support})
+        functionals = absolute_functionals(Tsirelson(from_int(xi), theta), support)
+        best = max(sum(c * abs(x.coeff(i)) for i, c in phi.entries) for phi in functionals)
+        engine = TsirelsonEngine(from_int(xi), theta, x)
+        assert engine.norm() == best > x.max_abs()
+        assert engine.check_idempotent()
 
     def test_closure_tests_each_set_of_lows_once(self, monkeypatch):
         # the closure that tested the lows once per part made 19 395 calls

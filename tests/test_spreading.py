@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from domcert.domination import basis_sequence
+from domcert.domination import SearchOutcome, basis_sequence
 from domcert.families import Schreier
 from domcert.norms import C0, Combinatorial, Tsirelson
 from domcert.ordinals import OMEGA, from_int
@@ -12,6 +12,7 @@ from domcert.spreading import (
     SpreadingError,
     SpreadingTable,
     SubseqSpec,
+    _direction_a,
     check_main2_bridge,
     default_probes,
     equivalence_constant,
@@ -241,3 +242,11 @@ class TestBridge:
         rho = basis_sequence(X1, 6)
         report = check_main2_bridge(rho, from_int(1), Fraction(1), 4)
         assert report.inconclusive
+
+    @pytest.mark.parametrize("status, inconclusive", [("budget", True), ("exhausted", False)])
+    def test_search_without_certificate(self, status, inconclusive):
+        # a search cut by its node budget leaves direction (a) open; an
+        # exhausted one refutes it (the estimate is not read on this path)
+        report, open_a = _direction_a(SearchOutcome(status), Fraction(1), None, Schreier(from_int(0)))
+        assert report == {"pass": False, "reason": f"no certificate at C=1 ({status})"}
+        assert open_a is inconclusive
